@@ -1,11 +1,12 @@
 """From declaration to SystemVerilog: the repro.dsl.rtl export flow.
 
 Takes a corpus system, pins its RTL model cycle-exactly against the
-whole simulator stack (trace, structural RTL simulator, vectorized
-kernel, analytic schedule oracle -- the differential harness with the
-netlist voice enabled), then emits synthesizable SystemVerilog plus a
-self-checking testbench whose golden firing counts come from that
-cross-validated model.
+whole simulator stack (the differential harness: the structural RTL
+simulator, which runs the very netlist the exporter emits, against
+the trace simulator, the vectorized kernel and the analytic schedule
+oracle), then emits synthesizable SystemVerilog plus a self-checking
+testbench whose golden firing counts come from that cross-validated
+model.
 
 Equivalent CLI::
 
@@ -25,9 +26,9 @@ def main() -> None:
     print(f"system: {system.name} "
           f"({len(system.shells)} shells, {len(system.channels)} channels)")
 
-    # 1. Cycle-exact cross-check: the occupancy-count model of the
-    #    emitted RTL must agree with every simulator voice on firing
-    #    patterns, throughput, and peak queue occupancy.
+    # 1. Cycle-exact cross-check: the structural model of the emitted
+    #    RTL must agree with every other voice on firing patterns,
+    #    throughput, and peak queue occupancy.
     report = crosscheck_rtl(system, clocks=120)
     assert report.agreed, report.failures
     print(f"crosscheck: PASS, throughput at {report.probe!r}:")

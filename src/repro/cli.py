@@ -50,17 +50,9 @@ from .core import (
 )
 from .core.serialize import load_lis, save_lis
 from .gen import generator as _generator
-from .gen import examples as _examples
+from .gen.examples import EXAMPLES, named_system
 
 __all__ = ["main", "build_parser"]
-
-EXAMPLES = {
-    "fig1": _examples.fig1_lis,
-    "fig2-right": _examples.fig2_right_lis,
-    "fig15": _examples.fig15_lis,
-    "fig10": _examples.fig10_limiter_lis,
-    "uplink-downlink": _examples.uplink_downlink_lis,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="first pin the RTL model cycle-exactly against the "
-        "simulator stack (differential harness with the netlist "
-        "voice); non-zero exit on any disagreement",
+        "simulator stack (differential harness: fast, rtl, schedule "
+        "and trace voices); non-zero exit on any disagreement",
     )
 
     sim = sub.add_parser("simulate", help="empirical throughput")
@@ -668,30 +660,10 @@ def _cmd_stats(args) -> int:
 
 
 def _resolve_system(name: str):
-    """An example name, ``cofdm``/``fig19``, a ``mesh:RxC`` /
-    ``torus:RxC`` NoC spec, or a LIS JSON file path."""
-    if name in EXAMPLES:
-        return EXAMPLES[name]()
-    if name == "cofdm":
-        from .soc import cofdm_transmitter
-
-        return cofdm_transmitter()
-    if name == "fig19":
-        from .soc import fig19_scenario
-
-        return fig19_scenario()
-    for prefix, torus in (("mesh:", False), ("torus:", True)):
-        if name.startswith(prefix):
-            rows, _, cols = name[len(prefix):].partition("x")
-            try:
-                return _generator.mesh_lis(
-                    int(rows), int(cols), torus=torus
-                )
-            except (ValueError, _generator.GeneratorError) as exc:
-                raise ValueError(
-                    f"bad NoC spec {name!r} (want e.g. {prefix}4x4): {exc}"
-                ) from None
-    return load_lis(name)
+    """A built-in system name (:func:`repro.gen.named_system`) or a
+    LIS JSON file path."""
+    lis = named_system(name)
+    return lis if lis is not None else load_lis(name)
 
 
 def _cmd_chaos(args) -> int:

@@ -3,11 +3,10 @@ VII-B plus fixed uniform sizing, behind one high-level entry point.
 
 :func:`size_queues` is the API most callers want; it dispatches to a
 named algorithm through the solver registry (:func:`get_solver` /
-:func:`register_solver`), so external solvers plug in uniformly.  All
-``solve_td_*`` entrypoints share one normalized keyword set --
-``target``, ``timeout``, ``max_cycles``, ``collapse`` -- when given a
-:class:`~repro.core.lis_graph.LisGraph`; the older instance-passing
-signatures keep working behind :class:`DeprecationWarning` shims.
+:func:`register_solver`), so external solvers plug in uniformly.  The
+``solve_td_<method>(lis, **options)`` entrypoints are shorthands for
+``size_queues(lis, method=<method>, **options)``; a token-deficit
+instance is solved with ``get_solver(<method>).solve_instance``.
 """
 
 from __future__ import annotations
@@ -16,31 +15,25 @@ from ..token_deficit import InfeasibleError
 from .exact import (
     ExactOutcome,
     ExactTimeout,
-    solve_td_exact,
     solve_td_exact_instance,
     solve_td_exact_reference_instance,
 )
-from .facade import QsSolution, size_queues
-from .fixed import fixed_qs_mst, fixed_qs_profile, minimal_fixed_q
-from .greedy import solve_td_greedy, solve_td_greedy_instance
-from .heuristic import (
+from .facade import (
+    QsSolution,
+    size_queues,
+    solve_td_exact,
+    solve_td_greedy,
     solve_td_heuristic,
+    solve_td_milp,
+)
+from .fixed import fixed_qs_mst, fixed_qs_profile, minimal_fixed_q
+from .greedy import solve_td_greedy_instance
+from .heuristic import (
     solve_td_heuristic_instance,
     solve_td_heuristic_reference_instance,
 )
-from .kernel import (
-    KernelStats,
-    NodeLimitReached,
-    TdKernel,
-    compile_td,
-    kernel_enabled,
-)
-from .milp import (
-    MilpOutcome,
-    lp_lower_bound,
-    solve_td_milp,
-    solve_td_milp_instance,
-)
+from .kernel import KernelStats, NodeLimitReached, TdKernel, compile_td
+from .milp import MilpOutcome, lp_lower_bound, solve_td_milp_instance
 from .registry import Solver, available_solvers, get_solver, register_solver
 
 __all__ = [
@@ -54,7 +47,6 @@ __all__ = [
     "TdKernel",
     "KernelStats",
     "NodeLimitReached",
-    "kernel_enabled",
     "solve_td_heuristic",
     "solve_td_heuristic_instance",
     "solve_td_heuristic_reference_instance",

@@ -22,14 +22,12 @@ import time
 from dataclasses import dataclass
 
 from .. import token_deficit as td
-from ._compat import solver_entrypoint
 from .kernel import DEADLINE_STRIDE as _DEADLINE_STRIDE
-from .kernel import compile_td, empty_stats, kernel_enabled
+from .kernel import compile_td, empty_stats
 
 __all__ = [
     "ExactOutcome",
     "ExactTimeout",
-    "solve_td_exact",
     "solve_td_exact_instance",
     "solve_td_exact_reference_instance",
 ]
@@ -129,28 +127,22 @@ def solve_td_exact_instance(
 ) -> tuple[dict[int, int], dict]:
     """Normalized registry signature: ``(weights, stats)``.
 
-    Runs on the bitset-compiled kernel (:mod:`.kernel`) unless
-    ``REPRO_TD_KERNEL=0`` routes it through the pure-Python reference
-    search.  Both return the optimal residual cost; the witness weights
-    may differ between backends (ties in the search order).
+    Runs on the bitset-compiled kernel (:mod:`.kernel`).  The
+    pure-Python reference search (``exact-ref``) returns the same
+    optimal residual cost; the witness weights may differ between the
+    two (ties in the search order).
     """
-    if kernel_enabled():
-        if instance.is_trivial:
-            stats = empty_stats()
-            stats["backend"] = "kernel"
-            stats["deadline_overshoot"] = 0.0
-            return {}, stats
-        kern = compile_td(instance)
-        weights, kstats = kern.solve_exact(
-            upper_bound=upper_bound, timeout=timeout
-        )
-        stats = kstats.as_dict()
+    if instance.is_trivial:
+        stats = empty_stats()
         stats["backend"] = "kernel"
-        stats["deadline_overshoot"] = kstats.deadline_overshoot
-        return weights, stats
-    return solve_td_exact_reference_instance(
-        instance, timeout=timeout, upper_bound=upper_bound
-    )
+        stats["deadline_overshoot"] = 0.0
+        return {}, stats
+    kern = compile_td(instance)
+    weights, kstats = kern.solve_exact(upper_bound=upper_bound, timeout=timeout)
+    stats = kstats.as_dict()
+    stats["backend"] = "kernel"
+    stats["deadline_overshoot"] = kstats.deadline_overshoot
+    return weights, stats
 
 
 def solve_td_exact_reference_instance(
@@ -168,37 +160,18 @@ def solve_td_exact_reference_instance(
     return outcome.weights, stats
 
 
-@solver_entrypoint("exact")
-def solve_td_exact(
+def _search(
     instance: td.TokenDeficitInstance,
     upper_bound: int | None = None,
     timeout: float | None = None,
 ) -> ExactOutcome:
     """Minimum-cost solution of a TD instance's residual problem.
 
-    Normalized entrypoint: pass a LisGraph plus any of ``target``,
-    ``timeout``, ``max_cycles``, ``collapse`` for a
-    :class:`~repro.core.solvers.QsSolution`; the instance-passing
-    signature below is deprecated (see
-    :mod:`repro.core.solvers.registry`).
-
-    Args:
-        instance: The (ideally simplified) TD instance.
-        upper_bound: A known-feasible cost; defaults to the heuristic
-            solution's cost, as in the paper.
-        timeout: Optional wall-clock limit in seconds; on expiry
-            :class:`ExactTimeout` is raised.
-    """
-    return _search(instance, upper_bound=upper_bound, timeout=timeout)
-
-
-def _search(
-    instance: td.TokenDeficitInstance,
-    upper_bound: int | None = None,
-    timeout: float | None = None,
-) -> ExactOutcome:
-    """Binary-search K in ``[max residual deficit, upper bound]`` --
+    Binary-searches K in ``[max residual deficit, upper bound]`` --
     feasibility is monotone in K, so the standard bisection applies.
+    ``upper_bound`` is a known-feasible cost (default: the heuristic
+    solution's cost, as in the paper); on expiry of ``timeout``
+    (wall-clock seconds) :class:`ExactTimeout` is raised.
     """
     from .heuristic import _descend
 

@@ -12,10 +12,9 @@ two greedy philosophies against the exact optimum.
 from __future__ import annotations
 
 from .. import token_deficit as td
-from ._compat import solver_entrypoint
 from .kernel import empty_stats
 
-__all__ = ["solve_td_greedy", "solve_td_greedy_instance"]
+__all__ = ["solve_td_greedy_instance"]
 
 
 def solve_td_greedy_instance(
@@ -31,18 +30,6 @@ def solve_td_greedy_instance(
     stats = empty_stats()
     stats["backend"] = "reference"
     return _cover(instance), stats
-
-
-@solver_entrypoint("greedy")
-def solve_td_greedy(instance: td.TokenDeficitInstance) -> dict[int, int]:
-    """Residual-problem weights found by greedy marginal coverage.
-
-    Normalized entrypoint: pass a LisGraph plus any of ``target``,
-    ``timeout``, ``max_cycles``, ``collapse`` for a
-    :class:`~repro.core.solvers.QsSolution`; the instance-passing
-    signature is deprecated (see :mod:`repro.core.solvers.registry`).
-    """
-    return _cover(instance)
 
 
 def _cover(instance: td.TokenDeficitInstance) -> dict[int, int]:

@@ -15,11 +15,9 @@ each edge.
 from __future__ import annotations
 
 from .. import token_deficit as td
-from ._compat import solver_entrypoint
-from .kernel import compile_td, empty_stats, kernel_enabled
+from .kernel import compile_td, empty_stats
 
 __all__ = [
-    "solve_td_heuristic",
     "solve_td_heuristic_instance",
     "solve_td_heuristic_reference_instance",
 ]
@@ -32,10 +30,10 @@ def solve_td_heuristic_instance(
 
     The descent always terminates quickly, so ``timeout`` is accepted
     for signature uniformity but not consulted.  Runs on the compiled
-    kernel (incremental coverage vector) unless ``REPRO_TD_KERNEL=0``;
-    both backends return bit-for-bit identical weights.
+    kernel (incremental coverage vector), which returns bit-for-bit the
+    weights of the reference descent (``heuristic-ref``).
     """
-    if kernel_enabled() and not instance.is_trivial:
+    if not instance.is_trivial:
         kern = compile_td(instance)
         stats = empty_stats()
         stats["backend"] = "kernel"
@@ -53,23 +51,10 @@ def solve_td_heuristic_reference_instance(
     return _descend(instance), stats
 
 
-@solver_entrypoint("heuristic")
-def solve_td_heuristic(instance: td.TokenDeficitInstance) -> dict[int, int]:
-    """Residual-problem weights found by the greedy descent.
-
-    Normalized entrypoint: pass a :class:`~repro.core.lis_graph.LisGraph`
-    plus any of ``target``, ``timeout``, ``max_cycles``, ``collapse``
-    to get a :class:`~repro.core.solvers.QsSolution`.  Passing a
-    :class:`TokenDeficitInstance` (the pre-registry signature) still
-    returns ``{channel id: extra tokens}`` over the instance's residual
-    problem (forced weights are *not* included; merge with
-    :meth:`TokenDeficitInstance.merge_forced`) but is deprecated --
-    use ``get_solver("heuristic").solve_instance(...)``.
-    """
-    return _descend(instance)
-
-
 def _descend(instance: td.TokenDeficitInstance) -> dict[int, int]:
+    """Residual-problem weights ``{channel id: extra tokens}`` found by
+    the descent (forced weights are *not* included; merge with
+    :meth:`TokenDeficitInstance.merge_forced`)."""
     if instance.is_trivial:
         return {}
 

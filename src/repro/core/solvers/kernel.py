@@ -32,13 +32,11 @@ node than the dict-based reference solvers:
   the MILP warm start and the ``simulate_batch`` engine op.
 
 The pure-Python solvers stay registered (``exact-ref`` /
-``heuristic-ref``) as the differential oracle; set ``REPRO_TD_KERNEL=0``
-to route the default ``exact`` / ``heuristic`` solvers through them.
+``heuristic-ref``) as the differential oracle.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -49,7 +47,6 @@ __all__ = [
     "NodeLimitReached",
     "TdKernel",
     "compile_td",
-    "kernel_enabled",
 ]
 
 try:  # numpy is optional at runtime (needed for the matrix surface)
@@ -74,17 +71,6 @@ def _exact_timeout():
 
         _ExactTimeout = ExactTimeout
     return _ExactTimeout
-
-
-def kernel_enabled() -> bool:
-    """Whether the compiled kernel backs the default solvers
-    (``REPRO_TD_KERNEL=0`` falls back to the pure-Python oracle)."""
-    return os.environ.get("REPRO_TD_KERNEL", "1").lower() not in (
-        "0",
-        "off",
-        "no",
-        "false",
-    )
 
 
 class NodeLimitReached(Exception):

@@ -27,14 +27,12 @@ import time
 from dataclasses import dataclass
 
 from .. import token_deficit as td
-from ._compat import solver_entrypoint
 from .exact import ExactTimeout
-from .kernel import compile_td, empty_stats, kernel_enabled
+from .kernel import compile_td, empty_stats
 
 __all__ = [
     "MilpOutcome",
     "lp_lower_bound",
-    "solve_td_milp",
     "solve_td_milp_instance",
 ]
 
@@ -62,7 +60,7 @@ class MilpOutcome:
         lp_bound: The root LP relaxation's optimal value.
         nodes_explored: Branch-and-bound nodes solved.
         batch_checks: Kernel batch-feasibility rows spent validating
-            the ceil-rounded root-LP warm start (0 with the kernel off).
+            the ceil-rounded root-LP warm start.
     """
 
     weights: dict[int, int]
@@ -124,26 +122,13 @@ def solve_td_milp_instance(
     return outcome.weights, stats
 
 
-@solver_entrypoint("milp")
-def solve_td_milp(
+def _branch_and_bound(
     instance: td.TokenDeficitInstance,
     timeout: float | None = None,
 ) -> MilpOutcome:
     """Minimum-cost integer solution via LP-based branch and bound.
 
-    Normalized entrypoint: pass a LisGraph plus any of ``target``,
-    ``timeout``, ``max_cycles``, ``collapse`` for a
-    :class:`~repro.core.solvers.QsSolution`; the instance-passing
-    signature is deprecated (see :mod:`repro.core.solvers.registry`).
-    """
-    return _branch_and_bound(instance, timeout=timeout)
-
-
-def _branch_and_bound(
-    instance: td.TokenDeficitInstance,
-    timeout: float | None = None,
-) -> MilpOutcome:
-    """Branches on the most fractional variable of each relaxation;
+    Branches on the most fractional variable of each relaxation;
     prunes with ``ceil(LP value) >= incumbent``.  Raises
     :class:`~repro.core.solvers.exact.ExactTimeout` on expiry of
     ``timeout`` (wall-clock seconds).
@@ -162,7 +147,7 @@ def _branch_and_bound(
     best_cost = sum(incumbent.values())
     best = {ch: incumbent.get(ch, 0) for ch in channels}
 
-    kern = compile_td(instance) if kernel_enabled() else None
+    kern = compile_td(instance)
     batch_checks = 0
     root_bound: float | None = None
     nodes = 0
@@ -184,7 +169,7 @@ def _branch_and_bound(
         nodes += 1
         if root_bound is None:
             root_bound = float(result.fun) if result.success else math.inf
-            if result.success and kern is not None:
+            if result.success:
                 # Warm start: ceil-rounding the root relaxation of a
                 # covering LP is always feasible; the kernel's batch
                 # check validates the candidate before it replaces the

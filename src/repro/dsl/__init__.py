@@ -17,12 +17,12 @@ Layers:
 * :mod:`repro.dsl.decl` -- the frozen intermediate representation
   (:class:`SystemDecl`) and its programmatic twin
   (:class:`SystemBuilder`), with lowering to ``LisGraph``.
-* :mod:`repro.dsl.netlist` -- the backend-neutral structural netlist
-  and the occupancy-count :class:`NetlistSimulator` (the executable
-  model of the exported RTL; a fourth differential-harness voice).
 * :mod:`repro.dsl.rtl` -- SystemVerilog emission (queues, relay
   stations, shells, top, self-checking testbench) via
-  :func:`export_rtl`, cross-checked by :func:`crosscheck_rtl`.
+  :func:`export_rtl`, cross-checked by :func:`crosscheck_rtl`.  It
+  emits the structural netlist of :mod:`repro.lis.rtl_sim`
+  (:func:`build_netlist`, re-exported here), the same model
+  :class:`~repro.lis.rtl_sim.RtlSimulator` executes.
 * :mod:`repro.dsl.corpus` -- the paper's worked examples re-expressed
   declaratively, each pinned fingerprint-identical to its hand-built
   :mod:`repro.gen` / :mod:`repro.soc` counterpart.
@@ -39,14 +39,7 @@ from .decl import (
     to_system_decl,
 )
 from .frontend import Channel, Port, ShellType, SystemType, shell, system
-from .netlist import (
-    NetNode,
-    NetQueue,
-    Netlist,
-    NetlistSimulator,
-    build_netlist,
-    simulate_netlist,
-)
+from ..lis.rtl_sim import NetNode, NetQueue, Netlist, build_netlist
 from .rtl import RtlExport, crosscheck_rtl, export_rtl, sv_identifier
 from .corpus import CORPUS, corpus_names, corpus_system, mesh_system, ring_system
 
@@ -59,7 +52,6 @@ __all__ = [
     "NetNode",
     "NetQueue",
     "Netlist",
-    "NetlistSimulator",
     "Port",
     "RtlExport",
     "ShellDecl",
@@ -76,7 +68,6 @@ __all__ = [
     "mesh_system",
     "ring_system",
     "shell",
-    "simulate_netlist",
     "sv_identifier",
     "system",
     "to_system_decl",

@@ -25,14 +25,13 @@ hardware:
   a finite horizon against golden counts from the cross-validated
   Python model.
 
-Everything is generated from the same :class:`~repro.dsl.netlist.Netlist`
-the pure-Python :class:`~repro.dsl.netlist.NetlistSimulator` evaluates,
-and that evaluator is pinned cycle-exactly against
-:class:`~repro.lis.rtl_sim.RtlSimulator` (and the trace simulator, the
-vectorized kernel, and the analytic schedule oracle) through the
-existing differential harness -- so the emitted RTL's fire/stall
-schedule is the simulators' schedule by construction, and the
-testbench's golden counts are the oracle's counts.
+Everything is generated from the same :class:`~repro.lis.rtl_sim.Netlist`
+the structural :class:`~repro.lis.rtl_sim.RtlSimulator` executes, and
+that simulator is pinned cycle-exactly against the trace simulator,
+the vectorized kernel, and the analytic schedule oracle through the
+differential harness -- so the emitted RTL's fire/stall schedule is
+the simulators' schedule by construction, and the testbench's golden
+counts are the simulator's counts.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Hashable, Mapping
 
 from ..core.lis_graph import LisGraph
+from ..lis.rtl_sim import Netlist, NetQueue, RtlSimulator
 from .decl import DslError, to_system_decl
-from .netlist import Netlist, NetlistSimulator, build_netlist
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.differential import DifferentialReport
@@ -184,15 +183,15 @@ def export_rtl(
         raise DslError(f"channel width must be >= 1 bit, got {width}")
     lis = _as_lis(system)
     top = sv_identifier(name if name is not None else _system_name(system, lis))
-    netlist = build_netlist(lis, extra_tokens)
+    reference = RtlSimulator(lis, extra_tokens=extra_tokens)
+    reference.run(clocks)
+    netlist = reference.netlist
 
     shells = lis.shells()
     used: set[str] = {top, f"{top}_tb", "lis_channel_queue", "lis_relay_station"}
     shell_ids = {shell: sv_identifier(shell, used) for shell in shells}
     modules = {shell: f"{top}_{shell_ids[shell]}" for shell in shells}
 
-    reference = NetlistSimulator(netlist)
-    reference.run(clocks)
     counts = reference.firing_counts()
     golden = {shell: counts[shell] for shell in shells}
 
@@ -230,11 +229,11 @@ def crosscheck_rtl(
 ) -> "DifferentialReport":
     """Pin the RTL model cycle-exactly against the simulator stack.
 
-    Runs the existing differential harness with the netlist voice
-    enabled: the occupancy-count model of the emitted SystemVerilog
-    must agree with ``RtlSimulator``, ``TraceSimulator``, the
-    vectorized kernel, and (by default) the analytic schedule oracle
-    on firing patterns, throughput, and peak queue occupancy.
+    Runs the differential harness: ``RtlSimulator`` -- the executable
+    model of the emitted SystemVerilog, over the same netlist -- must
+    agree with ``TraceSimulator``, the vectorized kernel, and (by
+    default) the analytic schedule oracle on firing patterns,
+    throughput, and peak queue occupancy.
     """
     from ..sim.differential import differential_check
 
@@ -244,7 +243,6 @@ def crosscheck_rtl(
         extra_tokens=extra_tokens,
         probe=probe,
         check_schedule=check_schedule,
-        check_netlist=True,
     )
 
 
@@ -367,16 +365,26 @@ class _Emitter:
     clocks: int
     width: int
 
-    def _in_channels(self, shell: Hashable) -> list[tuple[int, int]]:
-        """``(channel id, total queue depth)`` per input channel of
-        ``shell``, in channel-id order -- depth includes extra tokens
-        and the reset slot, straight from the netlist."""
-        found = [
-            (q.channel, q.capacity)
-            for q in self.netlist.queues
-            if q.final and q.consumer == shell and q.channel is not None
+    def _in_queues(self, shell: Hashable) -> list[NetQueue]:
+        """The receive queue of each input channel of ``shell``, in
+        channel-id order (the netlist's order); its depth includes
+        extra tokens and the reset slot."""
+        return [
+            q for q in self.netlist.queues if q.final and q.consumer == shell
         ]
-        return sorted(found)
+
+    def _stage_queues(self, shell: Hashable) -> list[NetQueue]:
+        """The elastic stage queues inside ``shell``'s core, in
+        pipeline order (none for a single-cycle core)."""
+        chain: list[NetQueue] = []
+        node = self.netlist.node(shell)
+        while node.outputs:
+            queue = self.netlist.queues[node.outputs[0]]
+            if queue.channel is not None:
+                break  # the core's output channels
+            chain.append(queue)
+            node = self.netlist.node(queue.consumer)
+        return chain
 
     def _out_channels(self, shell: Hashable) -> list[int]:
         return sorted(e.key for e in self.lis.system.out_edges(shell))
@@ -402,14 +410,15 @@ class _Emitter:
 
     # ------------------------------------------------------------------
     def _shell_module(self, shell: Hashable) -> str:
-        ins = self._in_channels(shell)
+        ins = self._in_queues(shell)
         outs = self._out_channels(shell)
-        latency = self.lis.latency(shell)
+        stages = self._stage_queues(shell)
         w = "WIDTH-1:0"
 
         ports = ["  input  logic clk,", "  input  logic rst,",
                  "  output logic firing,"]
-        for cid, _depth in ins:
+        for q in ins:
+            cid = q.channel
             ports += [
                 f"  input  logic in{cid}_valid,",
                 f"  output logic in{cid}_stop,",
@@ -425,12 +434,14 @@ class _Emitter:
 
         body: list[str] = []
         # Input queues (the shell's bypassable receive queues).
-        for cid, depth in ins:
+        for q in ins:
+            cid = q.channel
             body += [
                 f"  logic in{cid}_q_valid;",
                 f"  logic [{w}] in{cid}_q_data;",
                 "  lis_channel_queue #(",
-                f"    .DEPTH({depth}), .RESET_TOKENS(1), .WIDTH(WIDTH)",
+                f"    .DEPTH({q.capacity}), .RESET_TOKENS({q.reset_tokens}), "
+                ".WIDTH(WIDTH)",
                 f"  ) in{cid}_q (",
                 "    .clk(clk), .rst(rst),",
                 f"    .push(in{cid}_valid), .din(in{cid}_data),",
@@ -439,14 +450,14 @@ class _Emitter:
                 "  );",
             ]
 
-        valids = _reduce("&", [f"in{cid}_q_valid" for cid, _ in ins], "1'b1")
+        valids = _reduce("&", [f"in{q.channel}_q_valid" for q in ins], "1'b1")
         out_free = _reduce(
             "&", [f"~out{cid}_stop" for cid in outs], "1'b1"
         )
 
         # Placeholder core datapath: XOR-combine inputs; sources count.
         if ins:
-            data = _reduce("^", [f"in{cid}_q_data" for cid, _ in ins], "'0")
+            data = _reduce("^", [f"in{q.channel}_q_data" for q in ins], "'0")
             body += [f"  logic [{w}] core_data;",
                      f"  assign core_data = {data};"]
         else:
@@ -458,7 +469,7 @@ class _Emitter:
                 "  end",
             ]
 
-        if latency == 1:
+        if not stages:
             # Single-cycle core: AND-firing straight to the outputs.
             body += [f"  assign firing = {valids} & ({out_free});"]
             tail_fire, tail_data = "firing", "core_data"
@@ -467,20 +478,21 @@ class _Emitter:
             # queues, one per internal pipeline stage.  All stage
             # signals are declared up front so every assign only
             # references already-declared names.
-            for i in range(latency - 1):
+            for i in range(len(stages)):
                 body += [
                     f"  logic s{i}_valid, s{i}_stop, s{i}_fire;",
                     f"  logic [{w}] s{i}_dout;",
                 ]
             body += [f"  assign firing = {valids} & ~s0_stop;"]
-            for i in range(latency - 1):
+            for i, q in enumerate(stages):
                 push = "firing" if i == 0 else f"s{i - 1}_fire"
                 din = "core_data" if i == 0 else f"s{i - 1}_dout"
-                last = i == latency - 2
+                last = i == len(stages) - 1
                 ready = out_free if last else f"~s{i + 1}_stop"
                 body += [
                     "  lis_channel_queue #(",
-                    "    .DEPTH(2), .RESET_TOKENS(0), .WIDTH(WIDTH)",
+                    f"    .DEPTH({q.capacity}), .RESET_TOKENS({q.reset_tokens}), "
+                    ".WIDTH(WIDTH)",
                     f"  ) s{i}_q (",
                     "    .clk(clk), .rst(rst),",
                     f"    .push({push}), .din({din}),",
@@ -490,8 +502,8 @@ class _Emitter:
                     f"  assign s{i}_fire = s{i}_valid & ({ready});",
                 ]
             tail_fire, tail_data = (
-                f"s{latency - 2}_fire",
-                f"s{latency - 2}_dout",
+                f"s{len(stages) - 1}_fire",
+                f"s{len(stages) - 1}_dout",
             )
 
         for cid in outs:
@@ -502,8 +514,8 @@ class _Emitter:
 
         return "\n".join(
             [
-                f"// shell {shell!r}: latency {latency}, "
-                f"inputs {[c for c, _ in ins]}, outputs {outs}",
+                f"// shell {shell!r}: latency {len(stages) + 1}, "
+                f"inputs {[q.channel for q in ins]}, outputs {outs}",
                 f"module {self.modules[shell]} #(",
                 "  parameter int WIDTH = 32",
                 ") (",
@@ -533,18 +545,21 @@ class _Emitter:
             lines.append(f"  // firing[{index}] = shell {shell!r}")
 
         # One wire bundle per channel hop.
-        for channel in self.lis.channels():
-            cid = channel.key
-            for hop in range(channel.data["relays"] + 1):
-                lines += [
-                    f"  logic ch{cid}_h{hop}_valid, ch{cid}_h{hop}_stop;",
-                    f"  logic [{w}] ch{cid}_h{hop}_data;",
-                ]
+        queues = self.netlist.queues
+        for q in queues:
+            if q.channel is None:
+                continue  # stage queues live inside the shell modules
+            cid, hop = q.channel, q.hop
+            lines += [
+                f"  logic ch{cid}_h{hop}_valid, ch{cid}_h{hop}_stop;",
+                f"  logic [{w}] ch{cid}_h{hop}_data;",
+            ]
 
         # Relay stations along each channel.
-        for channel in self.lis.channels():
-            cid = channel.key
-            for i in range(channel.data["relays"]):
+        for node in self.netlist.nodes:
+            if node.kind == "relay":
+                into = queues[node.inputs[0]]
+                cid, i = into.channel, into.hop
                 lines += [
                     f"  lis_relay_station #(.WIDTH({self.width})) "
                     f"rs_{cid}_{i} (",
@@ -562,8 +577,8 @@ class _Emitter:
         # Shell instances: outputs drive hop 0, inputs read the last hop.
         for index, shell in enumerate(shells):
             conns = [".clk(clk)", ".rst(rst)", f".firing(firing[{index}])"]
-            for cid, _depth in self._in_channels(shell):
-                last = self.lis.channel(cid).data["relays"]
+            for q in self._in_queues(shell):
+                cid, last = q.channel, q.hop
                 conns += [
                     f".in{cid}_valid(ch{cid}_h{last}_valid)",
                     f".in{cid}_stop(ch{cid}_h{last}_stop)",

@@ -16,6 +16,7 @@ from .examples import (
     fig15_lis,
     ring_lis,
     tree_lis,
+    named_system,
     uplink_downlink_lis,
 )
 
@@ -38,6 +39,7 @@ __all__ = [
     "GeneratorError",
     "generate_lis",
     "mesh_lis",
+    "named_system",
     "torus_lis",
     "fig1_lis",
     "fig2_left_lis",

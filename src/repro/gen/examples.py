@@ -5,13 +5,22 @@ marked graph) matching a specific figure, with the channel ids needed
 by tests and benchmarks exposed via node/channel naming conventions.
 These examples double as executable documentation: every quantitative
 claim the paper makes about them is asserted in the test-suite.
+
+:func:`named_system` is the one table of built-in systems by name,
+shared by the command line and the analysis server.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..core.lis_graph import LisGraph
+from .generator import GeneratorError, mesh_lis
 
 __all__ = [
+    "EXAMPLES",
+    "NAMED_SYSTEMS",
+    "named_system",
     "fig1_lis",
     "fig2_left_lis",
     "fig2_right_lis",
@@ -162,3 +171,46 @@ def tree_lis(depth: int, fanout: int = 2, relays_per_channel: int = 1) -> LisGra
                 next_frontier.append(child)
         frontier = next_frontier
     return lis
+
+
+#: The paper's worked examples under their command-line names.
+EXAMPLES: dict[str, Callable[[], LisGraph]] = {
+    "fig1": fig1_lis,
+    "fig2-right": fig2_right_lis,
+    "fig10": fig10_limiter_lis,
+    "fig15": fig15_lis,
+    "uplink-downlink": uplink_downlink_lis,
+}
+
+#: Every name :func:`named_system` resolves, for help and error texts.
+NAMED_SYSTEMS = (*EXAMPLES, "cofdm", "fig19", "mesh:RxC", "torus:RxC")
+
+
+def named_system(name: str) -> LisGraph | None:
+    """The built-in system called ``name``, or ``None`` if there is none.
+
+    Resolves the paper examples (:data:`EXAMPLES`), the SoC case
+    studies (``cofdm``, ``fig19``) and NoC shorthands (``mesh:RxC`` /
+    ``torus:RxC``); a malformed NoC shorthand raises ``ValueError``.
+    Never reads a file: callers that accept paths fall back themselves.
+    """
+    if name in EXAMPLES:
+        return EXAMPLES[name]()
+    if name == "cofdm":
+        from ..soc import cofdm_transmitter
+
+        return cofdm_transmitter()
+    if name == "fig19":
+        from ..soc import fig19_scenario
+
+        return fig19_scenario()
+    for prefix, torus in (("mesh:", False), ("torus:", True)):
+        if name.startswith(prefix):
+            rows, _, cols = name[len(prefix):].partition("x")
+            try:
+                return mesh_lis(int(rows), int(cols), torus=torus)
+            except (ValueError, GeneratorError) as exc:
+                raise ValueError(
+                    f"bad NoC spec {name!r} (want e.g. {prefix}4x4): {exc}"
+                ) from None
+    return None

@@ -323,12 +323,19 @@ def _howard_on_scc(
     policy: dict[Hashable, Edge] = {
         node: min(edges, key=weight) for node, edges in out_edges.items()
     }
+    # Each policy cycle's zero-bias reference node.  A cycle that
+    # survives an improvement step keeps its reference: re-picking it
+    # wherever the chain walk happens to close the cycle would shift
+    # the biases of an unchanged cycle, and nodes could then flip
+    # between equal-eta basins forever.
+    anchors: set[Hashable] = set()
 
     while True:
         # --- Policy evaluation -------------------------------------------
         eta: dict[Hashable, Fraction] = {}
         bias: dict[Hashable, Fraction] = {}
         state: dict[Hashable, int] = {}  # 0 unvisited, 1 in progress, 2 done
+        references: set[Hashable] = set()
 
         for start in component:
             if state.get(start, 0) == 2:
@@ -348,11 +355,17 @@ def _howard_on_scc(
                 total = sum(weight(policy[v]) for v in cycle_nodes)
                 span = sum(time(policy[v]) for v in cycle_nodes)
                 mean = Fraction(total, span)
-                # Biases around the cycle: fix the entry node at zero and
-                # walk backwards so
+                # Biases around the cycle: fix the reference node at
+                # zero and walk backwards so
                 # h[u] = w(pi(u)) - mean*t(pi(u)) + h[succ(u)].
-                eta[node] = mean
-                bias[node] = Fraction(0)
+                ref = next(
+                    (v for v in cycle_nodes if v in anchors), cycle_nodes[0]
+                )
+                references.add(ref)
+                at = cycle_nodes.index(ref)
+                cycle_nodes = cycle_nodes[at:] + cycle_nodes[:at]
+                eta[ref] = mean
+                bias[ref] = Fraction(0)
                 for v in reversed(cycle_nodes[1:]):
                     succ = policy[v].dst
                     eta[v] = mean
@@ -372,6 +385,7 @@ def _howard_on_scc(
                     weight(policy[v]) - eta[succ] * time(policy[v]) + bias[succ]
                 )
                 state[v] = 2
+        anchors = references
 
         # --- Policy improvement ------------------------------------------
         improved = False

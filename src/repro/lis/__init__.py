@@ -7,7 +7,7 @@ measurement helpers that cross-validate the static MST analysis.
 
 from .protocol import TAU, ShellBehavior, Tau, Trace, adder, counter
 from .trace_sim import TraceSimulator, simulate_trace
-from .rtl_sim import RtlRelayStation, RtlShell, RtlSimulator, simulate_rtl
+from .rtl_sim import RtlSimulator, simulate_rtl
 from .environment import always_ready, bursty, periodic_stall, rate_limited
 from .backends import (
     BACKENDS,
@@ -38,8 +38,6 @@ __all__ = [
     "counter",
     "TraceSimulator",
     "simulate_trace",
-    "RtlRelayStation",
-    "RtlShell",
     "RtlSimulator",
     "simulate_rtl",
     "always_ready",

@@ -1,34 +1,43 @@
-"""Structural (RTL-style) simulator of a latency-insensitive system.
+"""The structural (RTL-style) model of a latency-insensitive system.
 
 An independent second implementation of LIS semantics, used to
 cross-validate :mod:`repro.lis.trace_sim` and the static analysis.
-Instead of executing a marked graph, it instantiates the protocol
-hardware the paper describes:
+Instead of executing a marked graph, :func:`build_netlist` expands a
+:class:`~repro.core.lis_graph.LisGraph` into the protocol hardware the
+paper describes, as data:
 
-* :class:`RtlShell` -- a shell with one bypassable input queue per
-  channel and AND-firing: the core fires only when every input queue
-  holds valid data *and* every downstream consumer can accept a new
-  item; otherwise the core is stalled (clock-gated) and emits void.
-  A shell asserts ``stop`` on an input channel exactly when that
-  queue is full.
-* :class:`RtlRelayStation` -- the twofold buffer (main + auxiliary
-  register): it forwards one item per cycle while the downstream
-  accepts, absorbs one extra in-flight item when stopped, and asserts
-  ``stop`` upstream when both registers are occupied.
-* :class:`Environment` gates -- optional per-shell firing gates that
-  model an environment supplying valid data at a limited rate or a
-  consumer stalling the system, the paper's "interaction with the
-  environment" factor.
+* a *shell* per core, with one bypassable input queue per channel and
+  AND-firing: the core fires only when every input queue holds valid
+  data *and* every downstream queue can accept a new item; otherwise
+  the core is stalled (clock-gated) and emits void.  A shell asserts
+  ``stop`` on an input channel exactly when that queue is full.
+* a *relay station* per wire segment -- the twofold buffer (main +
+  auxiliary register): it forwards one item per cycle while the
+  downstream accepts, absorbs one extra in-flight item when stopped,
+  and asserts ``stop`` upstream when both registers are occupied.
+* a chain of two-slot elastic *stages* inside each multi-cycle core.
 
-All fire/stop decisions are functions of start-of-cycle state
-(registered stop semantics), which is exactly the step semantics of
-the marked-graph model; absent environment gates, the two simulators
-agree cycle-for-cycle, and the test-suite asserts it.
+Every element obeys the same fire rule, evaluated on start-of-cycle
+state (registered stop semantics), which is exactly the step semantics
+of the marked-graph model.  The one netlist feeds two consumers:
+
+* :class:`RtlSimulator` -- carries data values through one deque per
+  :class:`NetQueue`, with optional per-shell environment gates (the
+  paper's "interaction with the environment" factor) and per-node
+  fault gates.  Absent environment gates it agrees with the
+  marked-graph simulator cycle-for-cycle, and the differential harness
+  asserts it.
+* :mod:`repro.dsl.rtl` -- the SystemVerilog emitter, which turns every
+  :class:`NetQueue` into a ``lis_channel_queue`` instance with the same
+  ``DEPTH``/``RESET_TOKENS`` parameters and every node's fire rule into
+  the corresponding valid/stop logic, so the emitted RTL has the
+  simulator's fire/stall schedule by construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Mapping
 
@@ -37,10 +46,11 @@ from ..core.naming import relay_name, stage_name
 from .protocol import TAU, ShellBehavior, Trace
 
 __all__ = [
+    "NetQueue",
+    "NetNode",
+    "Netlist",
     "RtlSimulator",
-    "RtlShell",
-    "RtlRelayStation",
-    "RtlPipelineStage",
+    "build_netlist",
     "simulate_rtl",
 ]
 
@@ -53,157 +63,191 @@ Gate = Callable[[int, int], bool]
 #: and pipeline stages (``("stage", shell, i)``).
 FaultGate = Callable[[Hashable, int], bool]
 
+
+@dataclass(frozen=True)
+class NetQueue:
+    """One physical receive queue: a hop of a channel or a pipeline
+    stage segment inside a multi-cycle core.
+
+    ``channel`` is the owning channel id for real channel hops and
+    ``None`` for internal latency segments.  ``hop`` numbers the hops
+    of one channel from the producer (0) to the consumer; ``final``
+    marks the hop whose queue lives at the consumer *shell* (the one
+    whose occupancy the queue-sizing problem bounds).  ``reset_tokens``
+    is 1 exactly for final hops: the marked graph's initial token --
+    the data the shell transfers in the first clock period is already
+    latched at reset.
+    """
+
+    index: int
+    producer: Hashable
+    consumer: Hashable
+    capacity: int
+    reset_tokens: int
+    channel: int | None = None
+    hop: int = 0
+    final: bool = False
+
+
+@dataclass(frozen=True)
+class NetNode:
+    """One firing element: a shell core, a relay station, or one
+    internal pipeline stage of a multi-cycle core.
+
+    ``inputs``/``outputs`` are indices into :attr:`Netlist.queues`.
+    The fire rule is uniform: the node fires in a clock period iff
+    every input queue is non-empty and every output queue is non-full
+    at the start of the period (AND-firing with registered stop).
+    """
+
+    name: Hashable
+    kind: str  # "shell" | "relay" | "stage"
+    inputs: tuple[int, ...]
+    outputs: tuple[int, ...]
+    latency: int = 1
+
+
+@dataclass(frozen=True)
+class Netlist:
+    """The complete structural expansion of one LIS."""
+
+    lis: LisGraph
+    nodes: tuple[NetNode, ...]
+    queues: tuple[NetQueue, ...]
+
+    def node(self, name: Hashable) -> NetNode:
+        for node in self.nodes:
+            if node.name == name:
+                return node
+        raise KeyError(name)
+
+    def shells(self) -> list[NetNode]:
+        return [node for node in self.nodes if node.kind == "shell"]
+
+    def channel_hops(self, channel: int) -> list[NetQueue]:
+        """The hop queues of ``channel``, producer-side first."""
+        hops = [q for q in self.queues if q.channel == channel]
+        return sorted(hops, key=lambda q: q.hop)
+
+
+def build_netlist(
+    lis: LisGraph, extra_tokens: dict[int, int] | None = None
+) -> Netlist:
+    """Expand ``lis`` into its structural netlist.
+
+    Nodes come in a fixed order -- each shell followed by its internal
+    stages, in declaration order, then the relay stations channel by
+    channel in channel-id order -- which is also the row order of
+    :class:`RtlSimulator` traces.
+    """
+    extra = dict(extra_tokens or {})
+    nodes: list[tuple[Hashable, str, int]] = []  # (name, kind, latency)
+    inputs: dict[Hashable, list[int]] = {}
+    outputs: dict[Hashable, list[int]] = {}
+    queues: list[NetQueue] = []
+
+    def declare(name: Hashable, kind: str, latency: int = 1) -> None:
+        nodes.append((name, kind, latency))
+        inputs[name] = []
+        outputs[name] = []
+
+    def connect(
+        producer: Hashable,
+        consumer: Hashable,
+        capacity: int,
+        reset_tokens: int,
+        channel: int | None = None,
+        hop: int = 0,
+        final: bool = False,
+    ) -> None:
+        queue = NetQueue(
+            index=len(queues),
+            producer=producer,
+            consumer=consumer,
+            capacity=capacity,
+            reset_tokens=reset_tokens,
+            channel=channel,
+            hop=hop,
+            final=final,
+        )
+        queues.append(queue)
+        outputs[producer].append(queue.index)
+        inputs[consumer].append(queue.index)
+
+    tails: dict[Hashable, Hashable] = {}
+    for shell in lis.shells():
+        declare(shell, "shell", lis.latency(shell))
+        previous: Hashable = shell
+        for i in range(lis.latency(shell) - 1):
+            stage = stage_name(shell, i)
+            declare(stage, "stage")
+            # Two-slot elastic stage, mirroring the marked-graph
+            # lowering (a one-deep register would halve the rate).
+            connect(previous, stage, capacity=2, reset_tokens=0)
+            previous = stage
+        tails[shell] = previous
+
+    for channel in lis.channels():
+        hops: list[Hashable] = [tails[channel.src]]
+        for i in range(channel.data["relays"]):
+            rs = relay_name(channel.key, i)
+            declare(rs, "relay")
+            hops.append(rs)
+        hops.append(channel.dst)
+        for i in range(len(hops) - 1):
+            final = i == len(hops) - 2
+            # A shell accepts q queued items plus the one in its input
+            # latch (the marked graph's initial token, occupying the
+            # queue at reset); a relay station is its own two-slot
+            # buffer that resets to void.
+            capacity = (
+                channel.data["queue"] + extra.get(channel.key, 0) + 1
+                if final
+                else 2
+            )
+            connect(
+                hops[i],
+                hops[i + 1],
+                capacity=capacity,
+                reset_tokens=1 if final else 0,
+                channel=channel.key,
+                hop=i,
+                final=final,
+            )
+
+    return Netlist(
+        lis=lis,
+        nodes=tuple(
+            NetNode(
+                name=name,
+                kind=kind,
+                inputs=tuple(inputs[name]),
+                outputs=tuple(outputs[name]),
+                latency=latency,
+            )
+            for name, kind, latency in nodes
+        ),
+        queues=tuple(queues),
+    )
+
+
 _RESET = object()  # placeholder occupying shell queues at reset
 
 
-class _Segment:
-    """One hop of a channel: producer -> consumer with a receive queue.
-
-    The queue lives at the consumer: depth ``capacity`` (the shell's
-    queue for final hops, 2 for hops into relay stations).  ``stop`` is
-    asserted to the producer when the queue is full at cycle start.
-    """
-
-    __slots__ = ("channel", "producer", "consumer", "capacity", "queue")
-
-    def __init__(self, channel: int, producer, consumer, capacity: int):
-        self.channel = channel
-        self.producer = producer
-        self.consumer = consumer
-        self.capacity = capacity
-        self.queue: deque = deque()
-
-    @property
-    def stop(self) -> bool:
-        return len(self.queue) >= self.capacity
-
-    @property
-    def has_data(self) -> bool:
-        return bool(self.queue)
-
-
-def _value_for(segment: "_Segment", value: Any) -> Any:
-    """Per-channel unwrap when forwarding a multi-channel mapping."""
-    if isinstance(value, Mapping) and segment.channel in value:
-        return value[segment.channel]
+def _display(value: Any) -> Any:
+    """What a trace row shows for a (possibly multi-channel) result:
+    the value on the lowest-numbered channel of a mapping."""
+    if isinstance(value, Mapping):
+        return value[min(value)] if value else TAU
     return value
 
 
-class RtlShell:
-    """A shell-encapsulated core with AND-firing and backpressure.
-
-    For multi-cycle cores (latency > 1), ``outputs`` is the single
-    internal segment into the first pipeline stage and
-    ``out_channels`` lists the real output channel ids the core's
-    result mapping is keyed by.
-    """
-
-    def __init__(self, name: Hashable, behavior: ShellBehavior, gate: Gate | None):
-        self.name = name
-        self.behavior = behavior
-        self.gate = gate
-        self.inputs: list[_Segment] = []
-        self.outputs: list[_Segment] = []
-        self.out_channels: list[int] = []
-        self.firing_index = 0
-
-    def can_fire(self, clock: int) -> bool:
-        if any(not seg.has_data for seg in self.inputs):
-            return False  # AND-firing: a missing input stalls the core
-        if any(seg.stop for seg in self.outputs):
-            return False  # backpressure from downstream
-        if self.gate is not None and not self.gate(clock, self.firing_index):
-            return False  # environment withholds data / stalls us
-        return True
-
-    def consume(self) -> dict[int, Any]:
-        return {seg.channel: seg.queue.popleft() for seg in self.inputs}
-
-    def produce(self, consumed: dict[int, Any]) -> tuple[list[Any], Any]:
-        """Returns ``(values aligned with self.outputs, display value)``.
-
-        The display value is what the shell's core emitted this firing
-        -- recorded in the trace even for sink shells with no output
-        channels.
-        """
-        if self.firing_index == 0:
-            if self.out_channels:
-                result: Any = {
-                    cid: self.behavior.initial_for(cid)
-                    for cid in self.out_channels
-                }
-            else:
-                result = self.behavior.initial
-        else:
-            result = self.behavior.compute(consumed)
-        self.firing_index += 1
-        if isinstance(result, Mapping):
-            keyed: Any = {cid: result[cid] for cid in self.out_channels}
-            display = keyed[min(keyed)] if keyed else TAU
-        else:
-            keyed = result
-            display = result
-        return [_value_for(seg, keyed) for seg in self.outputs], display
-
-
-class RtlRelayStation:
-    """The relay station: main + auxiliary register on a wire segment."""
-
-    def __init__(self, name: Hashable):
-        self.name = name
-        self.inputs: list[_Segment] = []  # exactly one
-        self.outputs: list[_Segment] = []  # exactly one
-
-    def can_fire(self, clock: int) -> bool:
-        return self.inputs[0].has_data and not self.outputs[0].stop
-
-    def consume(self) -> dict[int, Any]:
-        seg = self.inputs[0]
-        return {seg.channel: seg.queue.popleft()}
-
-    def produce(self, consumed: dict[int, Any]) -> tuple[list[Any], Any]:
-        (value,) = consumed.values()
-        return [value], value
-
-
-class RtlPipelineStage:
-    """One internal register stage of a multi-cycle core's pipeline.
-
-    Holds one datum, advances when the downstream (next stage, or the
-    shell's output channels at the tail) can accept, and fans a
-    multi-channel result mapping out to the real channels at the tail.
-    """
-
-    def __init__(self, name: Hashable):
-        self.name = name
-        self.inputs: list[_Segment] = []  # exactly one
-        self.outputs: list[_Segment] = []  # one, or the fan-out at the tail
-
-    def can_fire(self, clock: int) -> bool:
-        return self.inputs[0].has_data and not any(
-            seg.stop for seg in self.outputs
-        )
-
-    def consume(self) -> dict[int, Any]:
-        seg = self.inputs[0]
-        return {seg.channel: seg.queue.popleft()}
-
-    def produce(self, consumed: dict[int, Any]) -> tuple[list[Any], Any]:
-        (value,) = consumed.values()
-        values = [_value_for(seg, value) for seg in self.outputs]
-        if isinstance(value, Mapping):
-            display = value[min(value)] if value else TAU
-        else:
-            display = value
-        return values, display
-
-
 class RtlSimulator:
-    """Structural simulation of a practical LIS.
+    """Structural simulation of a practical LIS, over its netlist.
 
     Args:
         lis: The system; every channel is expanded into its relay
-            stations and per-hop receive queues.
+            stations and per-hop receive queues (:func:`build_netlist`).
         behaviors: ``{shell name: ShellBehavior}`` (defaults like
             :class:`~repro.lis.trace_sim.TraceSimulator`).
         extra_tokens: Optional queue-sizing solution; adds slots to the
@@ -224,132 +268,123 @@ class RtlSimulator:
         faults: FaultGate | None = None,
     ) -> None:
         self.lis = lis
+        self.netlist = build_netlist(lis, extra_tokens)
+        behaviors = behaviors or {}
+        self._behaviors = {
+            shell.name: behaviors.get(shell.name, ShellBehavior())
+            for shell in self.netlist.shells()
+        }
+        gates = gates or {}
+        self._gates = {
+            shell: gates[shell] for shell in self._behaviors if shell in gates
+        }
         self._faults = faults
-        behaviors = dict(behaviors or {})
-        gates = dict(gates or {})
-        extra = dict(extra_tokens or {})
+        # The real output channels a core's result mapping is keyed by
+        # (for a multi-cycle core they leave from its last stage).
+        self._out_channels = {
+            shell: sorted(e.key for e in lis.system.out_edges(shell))
+            for shell in self._behaviors
+        }
+        self._firings = dict.fromkeys(self._behaviors, 0)
 
-        self.nodes: dict[Hashable, RtlShell | RtlRelayStation | RtlPipelineStage] = {}
-        self.segments: list[_Segment] = []
-        tails: dict[Hashable, Hashable] = {}
-        for shell in lis.shells():
-            self.nodes[shell] = RtlShell(
-                shell,
-                behaviors.get(shell, ShellBehavior()),
-                gates.get(shell),
-            )
-            self.nodes[shell].out_channels = sorted(
-                e.key for e in lis.system.out_edges(shell)
-            )
-            # Expand multi-cycle cores into internal pipeline stages,
-            # each a one-deep register segment.
-            previous: Hashable = shell
-            for i in range(lis.latency(shell) - 1):
-                stage = stage_name(shell, i)
-                self.nodes[stage] = RtlPipelineStage(stage)
-                # Two-slot elastic stage, mirroring the marked-graph
-                # lowering (a one-deep register would halve the rate).
-                seg = _Segment(
-                    ("latency", shell, i),
-                    self.nodes[previous],
-                    self.nodes[stage],
-                    capacity=2,
-                )
-                self.segments.append(seg)
-                self.nodes[previous].outputs.append(seg)
-                self.nodes[stage].inputs.append(seg)
-                previous = stage
-            tails[shell] = previous
-
-        for channel in lis.channels():
-            hops: list[Hashable] = [tails[channel.src]]
-            for i in range(channel.data["relays"]):
-                rs = relay_name(channel.key, i)
-                self.nodes[rs] = RtlRelayStation(rs)
-                hops.append(rs)
-            hops.append(channel.dst)
-            for i in range(len(hops) - 1):
-                consumer = self.nodes[hops[i + 1]]
-                final = i == len(hops) - 2
-                # A shell accepts q queued items plus the one in its
-                # input latch (the marked graph's initial token, which
-                # occupies the queue at reset as the placeholder below):
-                # forward tokens + backedge tokens = q + 1 per channel.
-                # A relay station is its own two-slot buffer.
-                capacity = (
-                    channel.data["queue"] + extra.get(channel.key, 0) + 1
-                    if final
-                    else 2
-                )
-                seg = _Segment(
-                    channel.key, self.nodes[hops[i]], consumer, capacity
-                )
-                self.segments.append(seg)
-                self.nodes[hops[i]].outputs.append(seg)
-                consumer.inputs.append(seg)
-
+        queues = self.netlist.queues
         # Reset state.  The marked-graph model puts one initial token on
         # every place entering a shell: the data the shell transfers in
         # the first clock period is already latched, so its firing 0
         # emits the initial latched outputs without reading real input
         # data.  Each final receive queue therefore starts with a reset
-        # placeholder (its value is never read: RtlShell.produce ignores
-        # consumed values on firing 0), while hops into relay stations
-        # start empty (relay stations reset to void).
-        for seg in self.segments:
-            if isinstance(seg.consumer, RtlShell):
-                seg.queue.append(_RESET)
-
-        self._shell_segments = [
-            seg
-            for seg in self.segments
-            if isinstance(seg.consumer, RtlShell)
+        # placeholder (its value is never read), while relay stations
+        # and stages reset to void.
+        self.queues: list[deque[Any]] = [
+            deque([_RESET] * q.reset_tokens) for q in queues
         ]
-        self._max_occupancy: dict[int, int] = {
-            seg.channel: len(seg.queue) for seg in self._shell_segments
+        self._capacity = [q.capacity for q in queues]
+        # A multi-channel result is split per channel where it leaves a
+        # core's pipeline: on the first hop of each real channel.
+        self._split = [q.channel if q.hop == 0 else None for q in queues]
+        self._final = [
+            (q.index, q.channel)
+            for q in queues
+            if q.final and q.channel is not None
+        ]
+        self._max_occupancy = {
+            channel: len(self.queues[index]) for index, channel in self._final
         }
         self.clock = 0
         self.trace = Trace()
 
     # ------------------------------------------------------------------
+    def _may_fire(self, node: NetNode, clock: int) -> bool:
+        queues = self.queues
+        if not all(queues[i] for i in node.inputs):
+            return False  # AND-firing: a missing input stalls the core
+        capacity = self._capacity
+        if any(len(queues[i]) >= capacity[i] for i in node.outputs):
+            return False  # backpressure from downstream
+        gate = self._gates.get(node.name)
+        if gate is not None and not gate(clock, self._firings[node.name]):
+            return False  # environment withholds data / stalls us
+        return self._faults is None or not self._faults(node.name, clock)
+
+    def _fire(self, node: NetNode) -> Any:
+        """Pop ``node``'s inputs, push its outputs; returns the value
+        the trace records for this firing."""
+        queues = self.queues
+        if node.kind == "shell":
+            name = node.name
+            # A shell's inputs are final hops, keyed by their channel.
+            consumed: dict[Any, Any] = {
+                self.netlist.queues[i].channel: queues[i].popleft()
+                for i in node.inputs
+            }
+            behavior = self._behaviors[name]
+            out_channels = self._out_channels[name]
+            if self._firings[name] == 0:
+                result: Any = (
+                    {cid: behavior.initial_for(cid) for cid in out_channels}
+                    if out_channels
+                    else behavior.initial
+                )
+            else:
+                result = behavior.compute(consumed)
+            self._firings[name] += 1
+            if isinstance(result, Mapping):
+                result = {cid: result[cid] for cid in out_channels}
+            value = result
+            display = _display(result)
+        else:
+            value = queues[node.inputs[0]].popleft()
+            display = _display(value) if node.kind == "stage" else value
+        for i in node.outputs:
+            split = self._split[i]
+            if split is not None and isinstance(value, Mapping) and split in value:
+                queues[i].append(value[split])
+            else:
+                queues[i].append(value)
+        return display
+
     def step(self) -> set[Hashable]:
         """One clock period with registered-stop semantics."""
-        firing = {
-            name: node.can_fire(self.clock)
-            for name, node in self.nodes.items()
-        }
-        if self._faults is not None:
-            gate = self._faults
-            clock = self.clock
-            for name in firing:
-                if firing[name] and gate(name, clock):
-                    firing[name] = False
-        consumed = {
-            name: self.nodes[name].consume()
-            for name, fired in firing.items()
-            if fired
-        }
-        displays: dict[Hashable, Any] = {}
-        for name, fired in firing.items():
-            if not fired:
-                continue
-            values, display = self.nodes[name].produce(consumed[name])
-            displays[name] = display
-            for seg, value in zip(self.nodes[name].outputs, values):
-                seg.queue.append(value)
+        clock = self.clock
+        nodes = self.netlist.nodes
+        # Every decision reads start-of-cycle state; only then do the
+        # fired nodes move data.
+        firing = [node for node in nodes if self._may_fire(node, clock)]
+        displays = {node.name: self._fire(node) for node in firing}
 
-        for seg in self._shell_segments:
-            if len(seg.queue) > self._max_occupancy[seg.channel]:
-                self._max_occupancy[seg.channel] = len(seg.queue)
+        queues = self.queues
+        for index, channel in self._final:
+            if len(queues[index]) > self._max_occupancy[channel]:
+                self._max_occupancy[channel] = len(queues[index])
 
-        for name in self.nodes:
-            if firing[name]:
-                self.trace.record(name, displays[name], True)
+        for node in nodes:
+            if node.name in displays:
+                self.trace.record(node.name, displays[node.name], True)
             else:
-                self.trace.record(name, TAU, False)
+                self.trace.record(node.name, TAU, False)
         self.trace.clocks += 1
         self.clock += 1
-        return {name for name, fired in firing.items() if fired}
+        return set(displays)
 
     def run(self, clocks: int) -> Trace:
         for _ in range(clocks):
@@ -358,6 +393,13 @@ class RtlSimulator:
 
     def throughput(self, shell: Hashable, skip: int = 0) -> Fraction:
         return self.trace.throughput(shell, skip=skip)
+
+    def firing_counts(self) -> dict[Hashable, int]:
+        """Total firings per node over the clocks simulated so far."""
+        return {
+            node.name: sum(self.trace.fired[node.name])
+            for node in self.netlist.nodes
+        }
 
     def max_queue_occupancy(self) -> dict[int, int]:
         """Peak occupancy per channel's shell input queue, counting the

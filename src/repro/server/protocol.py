@@ -26,6 +26,7 @@ from typing import Any, Mapping
 
 from ..core.serialize import lis_from_json, lis_to_json
 from ..engine.cache import canonical_options, content_key
+from ..gen.examples import NAMED_SYSTEMS, named_system
 
 __all__ = [
     "METHODS",
@@ -206,50 +207,23 @@ class Job:
 def resolve_named_system(name: str) -> str:
     """Canonical LIS JSON for a built-in system name.
 
-    Accepts the paper examples (``fig1``, ``fig15``, ...), the SoC
-    case studies (``cofdm``, ``fig19``), and NoC shorthands
-    (``mesh:RxC`` / ``torus:RxC``).  File paths are deliberately
-    rejected -- the server must not read local files on behalf of a
-    network peer.
+    Accepts every name of :func:`repro.gen.named_system`: the paper
+    examples (``fig1``, ``fig15``, ...), the SoC case studies
+    (``cofdm``, ``fig19``), and NoC shorthands (``mesh:RxC`` /
+    ``torus:RxC``).  File paths are deliberately rejected -- the server
+    must not read local files on behalf of a network peer.
     """
-    from ..gen import examples as _examples
-    from ..gen import generator as _generator
-
-    named = {
-        "fig1": _examples.fig1_lis,
-        "fig2-right": _examples.fig2_right_lis,
-        "fig15": _examples.fig15_lis,
-        "fig10": _examples.fig10_limiter_lis,
-        "uplink-downlink": _examples.uplink_downlink_lis,
-    }
-    if name in named:
-        return lis_to_json(named[name]())
-    if name == "cofdm":
-        from ..soc import cofdm_transmitter
-
-        return lis_to_json(cofdm_transmitter())
-    if name == "fig19":
-        from ..soc import fig19_scenario
-
-        return lis_to_json(fig19_scenario())
-    for prefix, torus in (("mesh:", False), ("torus:", True)):
-        if name.startswith(prefix):
-            rows, _, cols = name[len(prefix):].partition("x")
-            try:
-                return lis_to_json(
-                    _generator.mesh_lis(int(rows), int(cols), torus=torus)
-                )
-            except (ValueError, _generator.GeneratorError) as exc:
-                raise RpcError(
-                    INVALID_PARAMS,
-                    f"bad NoC spec {name!r} (want e.g. {prefix}4x4): {exc}",
-                ) from None
-    raise RpcError(
-        INVALID_PARAMS,
-        f"unknown system {name!r} (named systems: fig1, fig2-right, "
-        f"fig10, fig15, uplink-downlink, cofdm, fig19, mesh:RxC, "
-        f"torus:RxC; or pass the LIS inline via 'lis')",
-    )
+    try:
+        lis = named_system(name)
+    except ValueError as exc:
+        raise RpcError(INVALID_PARAMS, str(exc)) from None
+    if lis is None:
+        raise RpcError(
+            INVALID_PARAMS,
+            f"unknown system {name!r} (named systems: "
+            f"{', '.join(NAMED_SYSTEMS)}; or pass the LIS inline via 'lis')",
+        )
+    return lis_to_json(lis)
 
 
 def _canonical_lis(params: Mapping) -> str:

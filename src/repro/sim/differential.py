@@ -2,7 +2,8 @@
 
 One system, three executions -- the vectorized kernel, the
 marked-graph :class:`~repro.lis.trace_sim.TraceSimulator`, and the
-structural :class:`~repro.lis.rtl_sim.RtlSimulator` -- compared for
+structural :class:`~repro.lis.rtl_sim.RtlSimulator` (which runs the
+netlist the SystemVerilog exporter emits) -- compared for
 *cycle-exact* agreement on
 
 * firing patterns (every node, every clock),
@@ -71,7 +72,6 @@ def differential_check(
     probe: Hashable | None = None,
     compare_values: bool = True,
     check_schedule: bool = True,
-    check_netlist: bool = False,
 ) -> DifferentialReport:
     """Run all three backends on ``lis`` and compare cycle-exactly.
 
@@ -91,11 +91,6 @@ def differential_check(
             to equal the trace execution clock-for-clock (and, when
             ``clocks`` covers the transient plus one hyperperiod, its
             peak occupancies to equal the simulated ones exactly).
-        check_netlist: Also run the occupancy-count
-            :class:`~repro.dsl.netlist.NetlistSimulator` -- the model
-            of the exported SystemVerilog -- as a fourth simulator
-            voice, compared on firing patterns, throughput, and peak
-            occupancy (it carries no data values).
     """
     fast = FastSimulator(lis, _instantiate(behaviors), extra_tokens)
     trace_sim = TraceSimulator(lis, _instantiate(behaviors), extra_tokens)
@@ -105,21 +100,11 @@ def differential_check(
         "trace": trace_sim.run(clocks),
         "rtl": rtl_sim.run(clocks),
     }
-    backends = list(BACKENDS)
     sims: dict[str, object] = {"fast": fast, "trace": trace_sim, "rtl": rtl_sim}
-    if check_netlist:
-        # Imported lazily: repro.dsl sits above repro.sim in the layer
-        # stack, and the netlist voice is only needed when exporting RTL.
-        from ..dsl.netlist import NetlistSimulator
-
-        netlist_sim = NetlistSimulator.from_lis(lis, None, extra_tokens)
-        traces["netlist"] = netlist_sim.run(clocks)
-        sims["netlist"] = netlist_sim
-        backends.append("netlist")
     failures: list[str] = []
 
     reference = traces["trace"]
-    for backend in backends:
+    for backend in BACKENDS:
         if backend == "trace":
             continue
         if traces[backend].fired != reference.fired:
@@ -133,16 +118,16 @@ def differential_check(
         probe = lis.shells()[0]
     throughput = {
         backend: traces[backend].throughput(probe)
-        for backend in backends
+        for backend in BACKENDS
     }
     if len(set(throughput.values())) > 1:
         failures.append(f"throughput at {probe!r}: {throughput}")
 
     occupancy = {
         backend: sims[backend].max_queue_occupancy()  # type: ignore[attr-defined]
-        for backend in backends
+        for backend in BACKENDS
     }
-    for backend in backends:
+    for backend in BACKENDS:
         if backend == "trace":
             continue
         if occupancy[backend] != occupancy["trace"]:

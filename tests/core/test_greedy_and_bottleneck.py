@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from repro.core import (
-    bottleneck_channels,
-    size_queues,
-    solve_td_exact,
-    solve_td_greedy,
-)
+from repro.core import bottleneck_channels, size_queues
 from repro.core.token_deficit import InfeasibleError
 from repro.gen import fig1_lis, fig15_lis, ring_lis
 from repro.graphs import (
@@ -19,7 +14,7 @@ from repro.graphs import (
     elementary_edge_cycles,
     karp_minimum_cycle_mean,
 )
-from tests.core.test_solvers import make_instance, td_instances
+from tests.core.test_solvers import make_instance, solve, td_instances
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +68,7 @@ def test_td_instances_strategy_smoke(inst):
 @settings(max_examples=40, deadline=None)
 @given(td_instances())
 def test_greedy_always_feasible(inst):
-    weights = solve_td_greedy(inst)
+    weights = solve("greedy", inst)
     assert inst.is_solution(weights)
 
 
@@ -122,32 +117,31 @@ def test_bottleneck_empty_at_full_rate():
 # greedy solver
 # ----------------------------------------------------------------------
 def test_greedy_trivial():
-    assert solve_td_greedy(make_instance({}, {})) == {}
+    assert solve("greedy", make_instance({}, {})) == {}
 
 
 def test_greedy_prefers_shared_edges():
     inst = make_instance({0: 1, 1: 1}, {10: {0}, 11: {0, 1}, 12: {1}})
-    assert solve_td_greedy(inst) == {11: 1}
+    assert solve("greedy", inst) == {11: 1}
 
 
 def test_greedy_infeasible_raises():
     inst = make_instance({0: 1}, {})
     with pytest.raises(InfeasibleError):
-        solve_td_greedy(inst)
+        solve("greedy", inst)
 
 
 def test_greedy_deterministic_tie_break():
     inst = make_instance({0: 2}, {10: {0}, 11: {0}})
-    assert solve_td_greedy(inst) == {10: 2}
+    assert solve("greedy", inst) == {10: 2}
 
 
 @given(td_instances())
 @settings(max_examples=50, deadline=None)
 def test_greedy_never_beats_exact(inst):
-    greedy = solve_td_greedy(inst)
-    exact = solve_td_exact(inst)
+    greedy = solve("greedy", inst)
     assert inst.is_solution(greedy)
-    assert sum(greedy.values()) >= exact.cost
+    assert sum(greedy.values()) >= sum(solve("exact", inst).values())
 
 
 def test_size_queues_greedy_method():

@@ -6,34 +6,26 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core import size_queues
-from repro.core.solvers import (
-    ExactTimeout,
-    lp_lower_bound,
-    solve_td_exact,
-    solve_td_milp,
-)
+from repro.core.solvers import ExactTimeout, get_solver, lp_lower_bound
 from repro.gen import fig1_lis, fig15_lis
-from tests.core.test_solvers import make_instance, td_instances
+from tests.core.test_solvers import make_instance, solve, td_instances
 
 
 def test_milp_trivial_instance():
-    outcome = solve_td_milp(make_instance({}, {}))
-    assert outcome.cost == 0 and outcome.weights == {}
+    assert solve("milp", make_instance({}, {})) == {}
     assert lp_lower_bound(make_instance({}, {})) == 0.0
 
 
 def test_milp_single_cycle():
     inst = make_instance({0: 2}, {10: {0}, 11: {0}})
-    outcome = solve_td_milp(inst)
-    assert outcome.cost == 2
-    assert inst.is_solution(outcome.weights)
+    weights = solve("milp", inst)
+    assert sum(weights.values()) == 2
+    assert inst.is_solution(weights)
 
 
 def test_milp_shared_edge_instance():
     inst = make_instance({0: 2, 1: 2}, {10: {0}, 11: {0, 1}, 12: {1}})
-    outcome = solve_td_milp(inst)
-    assert outcome.cost == 2
-    assert outcome.weights == {11: 2}
+    assert solve("milp", inst) == {11: 2}
 
 
 def test_lp_bound_is_a_lower_bound_and_can_be_fractional():
@@ -45,12 +37,12 @@ def test_lp_bound_is_a_lower_bound_and_can_be_fractional():
     )
     bound = lp_lower_bound(inst)
     assert math.isclose(bound, 1.5, abs_tol=1e-6)
-    outcome = solve_td_milp(inst)
-    assert outcome.cost == 2
+    weights, stats = get_solver("milp").solve_instance(inst)
+    assert sum(weights.values()) == 2
     # The heuristic incumbent (cost 2) lets ceil(1.5) prune the root,
     # so the optimum is certified after a single LP solve.
-    assert outcome.nodes_explored >= 1
-    assert outcome.lp_bound <= outcome.cost + 1e-9
+    assert stats["nodes_explored"] >= 1
+    assert stats["lp_bound"] <= sum(weights.values()) + 1e-9
 
 
 def test_milp_timeout():
@@ -59,17 +51,17 @@ def test_milp_timeout():
         {e: {i for i in range(6) if (i + e) % 2} for e in range(6)},
     )
     with pytest.raises(ExactTimeout):
-        solve_td_milp(inst, timeout=-1.0)
+        solve("milp", inst, timeout=-1.0)
 
 
 @given(td_instances())
 @settings(max_examples=40, deadline=None)
 def test_milp_matches_exact_solver(inst):
-    milp = solve_td_milp(inst)
-    exact = solve_td_exact(inst)
-    assert inst.is_solution(milp.weights)
-    assert milp.cost == exact.cost
-    assert milp.lp_bound <= milp.cost + 1e-6
+    milp, stats = get_solver("milp").solve_instance(inst)
+    cost = sum(milp.values())
+    assert inst.is_solution(milp)
+    assert cost == sum(solve("exact", inst).values())
+    assert stats["lp_bound"] <= cost + 1e-6
 
 
 def test_size_queues_milp_method():

@@ -52,7 +52,7 @@ def test_structural_nodes_match_rtl_simulator_nodes():
 
     lis = _pipeline()
     sim = RtlSimulator(lis)
-    assert set(structural_nodes(lis)) == set(sim.nodes)
+    assert set(structural_nodes(lis)) == {n.name for n in sim.netlist.nodes}
 
 
 def test_source_and_sink_shells():

@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import size_queues
-from repro.core.solvers.exact import solve_td_exact
 from repro.gen import GeneratorConfig, generate_lis
-from tests.core.test_solvers import brute_force_optimum, td_instances
+from tests.core.test_solvers import brute_force_optimum, solve, td_instances
 
 
 @given(td_instances())
@@ -25,7 +24,7 @@ def test_simplify_preserves_optimal_cost(inst):
     raw_optimum = brute_force_optimum(inst)
     simplified = copy.deepcopy(inst)
     simplified.simplify()
-    residual = solve_td_exact(simplified).cost
+    residual = sum(solve("exact", simplified).values())
     assert sum(simplified.forced.values()) + residual == raw_optimum
 
 
@@ -35,7 +34,7 @@ def test_each_rule_alone_preserves_optimal_cost(inst, rules):
     raw_optimum = brute_force_optimum(inst)
     simplified = copy.deepcopy(inst)
     simplified.simplify(rules)
-    residual = solve_td_exact(simplified).cost
+    residual = sum(solve("exact", simplified).values())
     assert sum(simplified.forced.values()) + residual == raw_optimum
 
 

@@ -19,7 +19,6 @@ from repro.core.solvers import (
     NodeLimitReached,
     compile_td,
     get_solver,
-    kernel_enabled,
 )
 from repro.core.solvers.exact import solve_td_exact_reference_instance
 from repro.core.solvers.heuristic import _descend
@@ -204,22 +203,6 @@ def test_deadline_overshoot_is_reported():
     with pytest.raises(ExactTimeout) as excinfo:
         kern.solve_exact(deadline=time.monotonic() - 1.0)
     assert excinfo.value.overshoot >= 0.0
-
-
-def test_kernel_env_gate(monkeypatch):
-    monkeypatch.setenv("REPRO_TD_KERNEL", "0")
-    assert not kernel_enabled()
-    instance = _hard_instance(5)
-    weights, stats = get_solver("exact").solve_instance(
-        clone(instance), timeout=60
-    )
-    assert stats["backend"] == "reference"
-    monkeypatch.setenv("REPRO_TD_KERNEL", "1")
-    kweights, kstats = get_solver("exact").solve_instance(
-        clone(instance), timeout=60
-    )
-    assert kstats["backend"] == "kernel"
-    assert sum(weights.values()) == sum(kweights.values())
 
 
 def test_registry_reference_solvers_registered():

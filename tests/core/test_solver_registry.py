@@ -1,5 +1,6 @@
-"""The solver registry and the normalized/deprecated entrypoints."""
+"""The solver registry and the ``solve_td_*`` system entrypoints."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from repro.core import available_solvers, get_solver, register_solver
 from repro.core.solvers import (
     solve_td_exact,
+    solve_td_greedy,
     solve_td_heuristic,
-    solve_td_heuristic_instance,
+    solve_td_milp,
 )
 from repro.core.solvers.registry import _REGISTRY
 from repro.core.token_deficit import build_td_instance
@@ -61,31 +63,32 @@ def test_register_custom_solver():
         _REGISTRY.pop("null", None)
 
 
-def test_legacy_instance_call_warns_but_works():
+@pytest.mark.parametrize(
+    "name, entrypoint",
+    [
+        ("exact", solve_td_exact),
+        ("greedy", solve_td_greedy),
+        ("heuristic", solve_td_heuristic),
+        ("milp", solve_td_milp),
+    ],
+)
+def test_entrypoint_rejects_instance_naming_solve_instance(name, entrypoint):
+    """The instance-passing signature is gone; the error names its
+    replacement."""
     instance = build_td_instance(fig1_lis(), simplify=True)
-    with pytest.warns(DeprecationWarning, match="solve_instance"):
-        legacy = solve_td_heuristic(instance)
-    weights, _stats = solve_td_heuristic_instance(instance)
-    assert legacy == weights
-
-
-def test_legacy_exact_call_warns_and_keeps_outcome_shape():
-    instance = build_td_instance(fig15_lis(), simplify=True)
-    with pytest.warns(DeprecationWarning):
-        outcome = solve_td_exact(instance, timeout=30)
-    assert outcome.cost == sum(outcome.weights.values())
+    expected = f"get_solver('{name}').solve_instance"
+    with pytest.raises(TypeError, match=re.escape(expected)):
+        entrypoint(instance)
 
 
 def test_entrypoint_dispatches_on_lis_graph():
     """Passing a LisGraph to a solve_td_* entrypoint routes through the
-    facade and returns a full QsSolution -- no deprecation warning."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        solution = solve_td_exact(fig15_lis(), timeout=30)
+    facade and returns a full QsSolution."""
+    solution = solve_td_exact(fig15_lis(), timeout=30)
     assert solution.cost == 2
     assert solution.restores_target
+    assert solution.method == "exact"
+    assert solve_td_heuristic(fig15_lis()).method == "heuristic"
 
 
 def test_entrypoint_rejects_unknown_keywords():

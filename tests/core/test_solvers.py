@@ -14,11 +14,10 @@ from repro.core import (
     build_td_instance,
     fixed_qs_mst,
     fixed_qs_profile,
+    get_solver,
     ideal_mst,
     minimal_fixed_q,
     size_queues,
-    solve_td_exact,
-    solve_td_heuristic,
 )
 from repro.core.token_deficit import TokenDeficitInstance
 from repro.core.cycles import CycleRecord
@@ -60,6 +59,12 @@ def td_instances(draw):
     return make_instance(deficits, sets)
 
 
+def solve(name, instance, **options):
+    """Residual weights of ``instance`` from the registered solver ``name``."""
+    weights, _stats = get_solver(name).solve_instance(instance, **options)
+    return weights
+
+
 def brute_force_optimum(instance, limit=12):
     """Smallest total weight solving the instance, by exhaustive search."""
     import itertools
@@ -79,12 +84,12 @@ def brute_force_optimum(instance, limit=12):
 # Heuristic
 # ----------------------------------------------------------------------
 def test_heuristic_trivial_instance():
-    assert solve_td_heuristic(make_instance({}, {})) == {}
+    assert solve("heuristic", make_instance({}, {})) == {}
 
 
 def test_heuristic_single_cycle():
     inst = make_instance({0: 2}, {10: {0}, 11: {0}})
-    weights = inst.merge_forced(solve_td_heuristic(inst))
+    weights = inst.merge_forced(solve("heuristic", inst))
     assert sum(weights.values()) == 2
     assert inst.is_solution(weights)
 
@@ -92,7 +97,7 @@ def test_heuristic_single_cycle():
 def test_heuristic_shared_edge_preferred():
     # Edge 11 covers both cycles; optimal cost 2 via 11 alone.
     inst = make_instance({0: 2, 1: 2}, {10: {0}, 11: {0, 1}, 12: {1}})
-    weights = solve_td_heuristic(inst)
+    weights = solve("heuristic", inst)
     assert inst.is_solution(weights)
     assert sum(weights.values()) <= 4  # never worse than per-cycle fixing
 
@@ -101,8 +106,8 @@ def test_heuristic_is_feasible_and_deterministic():
     inst = make_instance(
         {0: 1, 1: 2, 2: 1}, {5: {0, 1}, 6: {1, 2}, 7: {2}}
     )
-    first = solve_td_heuristic(inst)
-    second = solve_td_heuristic(inst)
+    first = solve("heuristic", inst)
+    second = solve("heuristic", inst)
     assert first == second
     assert inst.is_solution(first)
 
@@ -110,33 +115,36 @@ def test_heuristic_is_feasible_and_deterministic():
 @given(td_instances())
 @settings(max_examples=80, deadline=None)
 def test_heuristic_always_feasible_and_geq_exact(inst):
-    heuristic = solve_td_heuristic(inst)
-    assert inst.is_solution(heuristic)
     optimum = brute_force_optimum(inst)
-    assert sum(heuristic.values()) >= optimum
+    for name in ("heuristic", "heuristic-ref"):
+        heuristic = solve(name, inst)
+        assert inst.is_solution(heuristic)
+        assert sum(heuristic.values()) >= optimum
 
 
 # ----------------------------------------------------------------------
 # Exact
 # ----------------------------------------------------------------------
 def test_exact_trivial_instance():
-    outcome = solve_td_exact(make_instance({}, {}))
-    assert outcome.cost == 0 and outcome.weights == {}
+    for name in ("exact", "exact-ref"):
+        assert solve(name, make_instance({}, {})) == {}
 
 
 def test_exact_beats_or_matches_heuristic():
     inst = make_instance({0: 2, 1: 2}, {10: {0}, 11: {0, 1}, 12: {1}})
-    outcome = solve_td_exact(inst)
-    assert outcome.cost == 2
-    assert inst.is_solution(outcome.weights)
+    weights = solve("exact", inst)
+    assert sum(weights.values()) == 2
+    assert inst.is_solution(weights)
 
 
 @given(td_instances())
 @settings(max_examples=60, deadline=None)
 def test_exact_matches_brute_force(inst):
-    outcome = solve_td_exact(inst)
-    assert inst.is_solution(outcome.weights)
-    assert outcome.cost == brute_force_optimum(inst)
+    optimum = brute_force_optimum(inst)
+    for name in ("exact", "exact-ref"):
+        weights = solve(name, inst)
+        assert inst.is_solution(weights)
+        assert sum(weights.values()) == optimum
 
 
 def test_exact_timeout_raises():
@@ -144,8 +152,9 @@ def test_exact_timeout_raises():
     deficits = {i: 3 for i in range(12)}
     sets = {e: {i for i in range(12) if (i + e) % 3} for e in range(12)}
     inst = make_instance(deficits, sets)
-    with pytest.raises(ExactTimeout):
-        solve_td_exact(inst, timeout=-1.0)
+    for name in ("exact", "exact-ref"):
+        with pytest.raises(ExactTimeout):
+            solve(name, inst, timeout=-1.0)
 
 
 # ----------------------------------------------------------------------

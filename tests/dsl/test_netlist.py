@@ -1,21 +1,17 @@
-"""The backend-neutral netlist and its occupancy-count simulator.
+"""The structural netlist and the simulator that runs it.
 
 ``build_netlist`` is the single structural elaboration shared by the
-SystemVerilog emitter and by :class:`NetlistSimulator`; pinning the
-simulator cycle-exactly against the reference backends therefore pins
-the *RTL structure itself* (same queues, same depths, same reset
-tokens, same firing rule)."""
+SystemVerilog emitter and by :class:`~repro.lis.RtlSimulator`; pinning
+that simulator cycle-exactly against the independent backends
+therefore pins the *RTL structure itself* (same queues, same depths,
+same reset tokens, same firing rule)."""
 
 import pytest
 
 from repro.core import LisGraph
-from repro.dsl import (
-    NetlistSimulator,
-    build_netlist,
-    corpus_system,
-    simulate_netlist,
-)
-from repro.lis import RtlSimulator
+from repro.core.naming import structural_nodes
+from repro.dsl import build_netlist, corpus_system
+from repro.lis import RtlSimulator, simulate_rtl
 from repro.sim import differential_check
 
 
@@ -25,9 +21,13 @@ def _fig15():
 
 class TestBuildNetlist:
     def test_nodes_match_rtl_simulator(self):
+        """The simulator's trace rows are the netlist nodes, in netlist
+        order, and cover the canonical structural node set."""
         lis = _fig15()
         net = build_netlist(lis, {})
-        assert {n.name for n in net.nodes} == set(RtlSimulator(lis).nodes)
+        trace = RtlSimulator(lis).run(1)
+        assert list(trace.fired) == [n.name for n in net.nodes]
+        assert set(trace.fired) == set(structural_nodes(lis))
 
     def test_final_hop_capacity_encodes_queue_and_extra(self):
         lis = LisGraph()
@@ -59,41 +59,19 @@ class TestBuildNetlist:
 
 
 class TestNetlistSimulator:
+    """``RtlSimulator`` is the netlist's simulator."""
+
     @pytest.mark.parametrize(
         "name", ["fig1", "fig15", "uplink_downlink", "elastic_pipeline"]
     )
     def test_cycle_exact_against_reference_simulators(self, name):
         lis = corpus_system(name).lower()
-        report = differential_check(lis, clocks=100, check_netlist=True)
+        report = differential_check(lis, clocks=100)
         assert report.agreed, report.failures
-        assert "netlist" in report.throughput
-
-    def test_firing_counts_match_rtl_simulator(self):
-        lis = _fig15()
-        clocks = 80
-        rtl = RtlSimulator(lis)
-        rtl.run(clocks)
-        net = NetlistSimulator.from_lis(lis)
-        net.run(clocks)
-        assert net.firing_counts() == {
-            n: sum(rtl.trace.fired[n]) for n in rtl.nodes
-        }
-
-    def test_occupancy_matches_rtl_simulator(self):
-        lis = corpus_system("elastic_pipeline").lower()
-        rtl = RtlSimulator(lis)
-        rtl.run(100)
-        net = NetlistSimulator.from_lis(lis)
-        net.run(100)
-        assert net.max_queue_occupancy() == rtl.max_queue_occupancy()
+        assert "rtl" in report.throughput
 
     def test_extra_tokens_change_behavior(self):
         lis = _fig15()
-        base = simulate_netlist(lis, clocks=100)
-        fixed = simulate_netlist(lis, clocks=100, extra_tokens={5: 1, 6: 1})
+        base = simulate_rtl(lis, clocks=100)
+        fixed = simulate_rtl(lis, clocks=100, extra_tokens={5: 1, 6: 1})
         assert fixed.throughput("A") >= base.throughput("A")
-
-    def test_behaviors_are_rejected(self):
-        lis = _fig15()
-        with pytest.raises(ValueError):
-            NetlistSimulator.from_lis(lis, {"A": object()})

@@ -1,9 +1,16 @@
 """Tests for minimum-cycle-mean algorithms (Karp, Howard, witness cycles)."""
 
+import contextlib
+import signal
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.marked_graph import place_tokens
+from repro.core.throughput import ideal_mst, ideal_mst_compact
+from repro.gen import mesh_lis
 from repro.graphs import (
     Digraph,
     critical_cycle,
@@ -130,3 +137,60 @@ def test_witness_cycle_is_valid_and_attains_minimum(g):
     assert len(nodes) == len(set(nodes))  # elementary
     for i, edge in enumerate(cycle):
         assert edge.dst == cycle[(i + 1) % len(cycle)].src
+
+
+# ----------------------------------------------------------------------
+# Howard's policy iteration on NoCs with relay stations
+# ----------------------------------------------------------------------
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail instead of hanging when the body overruns ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# 3x4 meshes on which policy iteration used to cycle forever: an
+# unchanged policy cycle re-picked its zero-bias reference node, so its
+# biases shifted between iterations and nodes flipped between
+# equal-eta basins.
+HOWARD_LOOPING_MESHES = [(957065847, 3), (602984901, 2), (852169396, 3)]
+
+
+@pytest.mark.parametrize("seed, relays", HOWARD_LOOPING_MESHES)
+def test_howard_terminates_on_meshes_with_relays(seed, relays):
+    graph = mesh_lis(3, 4, relays=relays, seed=seed).ideal_marked_graph().graph
+    with _deadline(1.0):
+        mean = howard_minimum_cycle_mean(graph, place_tokens)
+    assert mean == karp_minimum_cycle_mean(graph, place_tokens) == Fraction(2, 3)
+
+
+def test_minimum_cycle_ratio_terminates_on_mesh_with_relays():
+    """The same loop backs minimum_cycle_ratio (ideal_mst_compact)."""
+    lis = mesh_lis(4, 4, relays=5, seed=420495362)
+    with _deadline(1.0):
+        compact = ideal_mst_compact(lis)
+    assert compact == ideal_mst(lis).mst
+
+
+@given(
+    shape=st.sampled_from([(2, 5), (3, 3), (3, 4)]),
+    relays=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    torus=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_howard_matches_karp_on_meshes_with_relays(shape, relays, seed, torus):
+    lis = mesh_lis(*shape, relays=relays, seed=seed, torus=torus)
+    for marked in (lis.ideal_marked_graph(), lis.doubled_marked_graph()):
+        with _deadline(5.0):
+            mean = howard_minimum_cycle_mean(marked.graph, place_tokens)
+        assert mean == karp_minimum_cycle_mean(marked.graph, place_tokens)

@@ -11,7 +11,6 @@ from tests.strategies import lis_graphs
 from repro.gen import fig1_lis, fig15_lis, ring_lis, tree_lis
 from repro.lis import (
     TAU,
-    RtlShell,
     RtlSimulator,
     ShellBehavior,
     TraceSimulator,
@@ -48,14 +47,17 @@ def test_stop_asserted_when_queue_full():
     queued item; stop rises when both slots are occupied."""
     sim = RtlSimulator(fig1_lis(), table1_behaviors())
     (lower_final,) = [
-        seg
-        for seg in sim.segments
-        if seg.channel == 1 and isinstance(seg.consumer, RtlShell)
+        q for q in sim.netlist.queues if q.channel == 1 and q.final
     ]
+    assert lower_final.consumer == "B"
     assert lower_final.capacity == 2  # q + input latch
-    assert not lower_final.stop  # reset placeholder alone
-    lower_final.queue.append("in-flight")
-    assert lower_final.stop
+    queue = sim.queues[lower_final.index]
+    assert len(queue) == 1  # reset placeholder alone: no stop
+    queue.append("in-flight")
+    assert len(queue) == lower_final.capacity  # stop asserted
+    fired = sim.step()
+    assert "A" not in fired  # the producer is held off
+    assert "B" in fired
 
 
 def test_stop_throttles_producer():
@@ -66,18 +68,17 @@ def test_stop_throttles_producer():
 
 
 def test_relay_station_capacity_two():
-    from repro.lis import RtlRelayStation
-
     sim = RtlSimulator(fig1_lis())
     rs_hops = [
-        seg
-        for seg in sim.segments
-        if isinstance(seg.consumer, RtlRelayStation)
+        q
+        for q in sim.netlist.queues
+        if sim.netlist.node(q.consumer).kind == "relay"
     ]
     assert len(rs_hops) == 1  # the hop A -> rs on the upper channel
+    assert rs_hops[0].consumer == relay_name(0, 0)
     assert rs_hops[0].capacity == 2
     assert rs_hops[0].channel == 0
-    assert not rs_hops[0].queue  # relay stations reset void
+    assert not sim.queues[rs_hops[0].index]  # relay stations reset void
 
 
 def test_rtl_rate_matches_static_mst():

@@ -117,3 +117,19 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_import_repro_leaves_the_dsl_unloaded():
+    """The structural netlist lives in repro.lis; importing the package
+    root (or the simulator) must not pull in the declarative frontend."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro, repro.lis.rtl_sim; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.dsl')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -21,6 +21,31 @@ def test_example_to_stdout(capsys):
     assert len(doc["channels"]) == 7
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "fig1",
+        "fig2-right",
+        "fig10",
+        "fig15",
+        "uplink-downlink",
+        "cofdm",
+        "fig19",
+        "mesh:3x4",
+        "torus:3x3",
+    ],
+)
+def test_named_system_resolves_alike_in_cli_and_server(name):
+    """One name table: the CLI and the server resolve every built-in
+    name to the same system."""
+    from repro.cli import _resolve_system
+    from repro.core.serialize import lis_from_json
+    from repro.server.protocol import resolve_named_system
+
+    served = lis_from_json(resolve_named_system(name))
+    assert _resolve_system(name).fingerprint() == served.fingerprint()
+
+
 def test_example_unknown_name_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["example", "figure-does-not-exist"])
