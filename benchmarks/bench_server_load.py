@@ -166,9 +166,7 @@ async def run_mm1_phase():
     # The estimate comes from the throwaway server's *own* queueing
     # stats -- client round-trip timing would fold HTTP overhead into
     # S and undershoot the offered rho badly.
-    async with AnalysisServer(
-        ServerConfig(port=0, engine_jobs=2, prewarm=True)
-    ) as throwaway:
+    async with AnalysisServer(ServerConfig(port=0)) as throwaway:
         async with ServerClient("127.0.0.1", throwaway.port) as client:
             for i in range(30):
                 await client.call(*unique_job(10_000 + i))
@@ -180,8 +178,6 @@ async def run_mm1_phase():
     config = ServerConfig(
         port=0,
         shards=1,
-        engine_jobs=2,
-        prewarm=True,
         queue_limit=max(MM1_REQUESTS, 64),
     )
     async with AnalysisServer(config) as server:

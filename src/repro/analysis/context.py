@@ -24,8 +24,9 @@ derived artifact, computed at most once per content fingerprint:
   and a queue-sizing assignment adds ``extra[c]`` tokens to a cycle
   exactly when channel ``c``'s sizable backedge lies on it -- which is
   precisely :attr:`CycleRecord.channels`;
-* per-artifact hit/miss counters (:class:`ContextStats`) make the
-  sharing observable (``repro stats``, ``EngineStats.context``).
+* per-artifact hit/miss counters (:class:`ContextStats`, a
+  :class:`repro.obs.Counters`) make the sharing observable
+  (``repro stats``, ``EngineStats.context``).
 
 Contexts are safe to share across threads (an internal lock guards
 artifact construction) and across engine ops in one worker process
@@ -37,9 +38,9 @@ from __future__ import annotations
 import copy
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable, TypeVar
 
 from ..core.cycles import (
     CycleExplosionError,
@@ -52,10 +53,13 @@ from ..core.lis_graph import LisError, LisGraph
 from ..core.marked_graph import MarkedGraph
 from ..core.serialize import lis_fingerprint, lis_from_json, lis_to_json
 from ..core.throughput import ThroughputResult, mst
+from ..obs import Counters, render
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..schedule.oracle import ScheduleOracle
     from ..sim.compile import CompiledSystem
+
+T = TypeVar("T")
 
 __all__ = [
     "Context",
@@ -66,80 +70,26 @@ __all__ = [
     "reset_global_stats",
 ]
 
-#: Artifact names whose hit/miss counters :class:`ContextStats` tracks.
-ARTIFACTS = (
-    "ideal_mg",
-    "doubled_mg",
-    "ideal_mst",
-    "actual_mst",
-    "cycles",
-    "collapsed",
-    "compiled",
-    "td_kernel",
-    "schedule",
-)
 
-
-@dataclass
-class ContextStats:
+class ContextStats(Counters):
     """Per-artifact memoization counters, shared by contexts.
 
-    ``counters`` maps ``"<artifact>.hit"`` / ``"<artifact>.miss"`` to
-    counts: a *miss* is a fresh computation (a lowering performed, an
-    enumeration run), a *hit* is a cached artifact served.  For the
-    ``cycles`` artifact a hit counts every request answered from the
-    one structural enumeration -- including all extra-token variants.
+    Keys are ``"<artifact>.hit"`` / ``"<artifact>.miss"``: a *miss* is
+    a fresh computation (a lowering performed, an enumeration run), a
+    *hit* is a cached artifact served.  For the ``cycles`` artifact a
+    hit counts every request answered from the one structural
+    enumeration -- including all extra-token variants.
     """
 
-    counters: dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
     def record(self, artifact: str, hit: bool) -> None:
-        key = f"{artifact}.{'hit' if hit else 'miss'}"
-        with self._lock:
-            self.counters[key] = self.counters.get(key, 0) + 1
+        self.add(f"{artifact}.{'hit' if hit else 'miss'}")
 
     def count(self, artifact: str, kind: str) -> int:
-        return self.counters.get(f"{artifact}.{kind}", 0)
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self.counters)
-
-    def delta(self, before: dict[str, int]) -> dict[str, int]:
-        """Counter increments since a :meth:`snapshot`."""
-        now = self.snapshot()
-        out = {}
-        for key, value in now.items():
-            diff = value - before.get(key, 0)
-            if diff:
-                out[key] = diff
-        return out
-
-    def merge(self, counters: dict[str, int]) -> None:
-        with self._lock:
-            for key, value in counters.items():
-                self.counters[key] = self.counters.get(key, 0) + int(value)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.counters.clear()
+        return int(self.get(f"{artifact}.{kind}"))
 
     def render(self) -> str:
-        """Aligned per-artifact table (the ``repro stats`` view)."""
-        lines = [f"{'artifact':<14}{'computed':>10}{'reused':>9}"]
-        named = [a for a in ARTIFACTS if self.count(a, "hit") or self.count(a, "miss")]
-        extra = sorted(
-            {k.rsplit(".", 1)[0] for k in self.snapshot()} - set(ARTIFACTS)
-        )
-        for artifact in [*named, *extra]:
-            lines.append(
-                f"{artifact:<14}{self.count(artifact, 'miss'):>10}"
-                f"{self.count(artifact, 'hit'):>9}"
-            )
-        return "\n".join(lines)
+        """Aligned per-artifact hit/miss table."""
+        return render({"artifact": self.snapshot()})
 
 
 _GLOBAL_STATS = ContextStats()
@@ -200,16 +150,9 @@ class Context:
         self.stats = stats if stats is not None else _GLOBAL_STATS
         self._lock = threading.RLock()
         self._channel_ids = set(self.lis.channel_ids())
-        self._ideal: MarkedGraph | None = None
-        self._doubled: dict[tuple, MarkedGraph] = {}
-        self._ideal_mst: ThroughputResult | None = None
-        self._actual_mst: dict[tuple, ThroughputResult] = {}
-        self._records: list[CycleRecord] | None = None
+        #: Built artifacts by ``(artifact, key)`` (see :meth:`_memo`).
+        self._artifacts: dict[tuple[str, Hashable], Any] = {}
         self._sizable: dict[int, int] | None = None
-        self._collapsed: tuple["Context", dict[int, int]] | None = None
-        self._compiled: "CompiledSystem | None" = None
-        self._td_kernels: dict[tuple, object] = {}
-        self._schedules: dict[tuple, "ScheduleOracle"] = {}
 
     # ------------------------------------------------------------------
     # Read-only LisGraph surface (duck-typed pass-throughs)
@@ -250,31 +193,33 @@ class Context:
         """A *mutable* clone of the underlying LIS (leaves the context)."""
         return self.lis.copy()
 
+    def _memo(self, artifact: str, key: Hashable, build: Callable[[], T]) -> T:
+        """The ``artifact`` cached under ``key``, built on first use.
+
+        Every call counts one hit or miss in :attr:`stats`; a build
+        that raises is not cached and counts nothing.
+        """
+        with self._lock:
+            slot = (artifact, key)
+            hit = slot in self._artifacts
+            if not hit:
+                self._artifacts[slot] = build()
+            self.stats.record(artifact, hit)
+            return self._artifacts[slot]
+
     # ------------------------------------------------------------------
     # Marked-graph lowerings
     # ------------------------------------------------------------------
     def _ideal_master(self) -> MarkedGraph:
-        with self._lock:
-            if self._ideal is None:
-                self._ideal = self.lis.ideal_marked_graph()
-                self.stats.record("ideal_mg", hit=False)
-            else:
-                self.stats.record("ideal_mg", hit=True)
-            return self._ideal
+        return self._memo("ideal_mg", (), self.lis.ideal_marked_graph)
 
     def _doubled_master(
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
         key = _extra_key(extra_tokens, self._channel_ids)
-        with self._lock:
-            master = self._doubled.get(key)
-            if master is None:
-                master = self.lis.doubled_marked_graph(dict(key))
-                self._doubled[key] = master
-                self.stats.record("doubled_mg", hit=False)
-            else:
-                self.stats.record("doubled_mg", hit=True)
-            return master
+        return self._memo(
+            "doubled_mg", key, lambda: self.lis.doubled_marked_graph(dict(key))
+        )
 
     def ideal_marked_graph(self) -> MarkedGraph:
         """A defensive copy of the cached ideal lowering (Section III-A)."""
@@ -309,13 +254,7 @@ class Context:
     # ------------------------------------------------------------------
     def ideal_mst(self) -> ThroughputResult:
         """Cached :func:`repro.core.ideal_mst` (III-C on the ideal MG)."""
-        with self._lock:
-            if self._ideal_mst is None:
-                self._ideal_mst = mst(self._ideal_master())
-                self.stats.record("ideal_mst", hit=False)
-            else:
-                self.stats.record("ideal_mst", hit=True)
-            result = self._ideal_mst
+        result = self._memo("ideal_mst", (), lambda: mst(self._ideal_master()))
         # The witness cycle aliases the master graph's Edge objects.
         return copy.deepcopy(result)
 
@@ -324,31 +263,22 @@ class Context:
     ) -> ThroughputResult:
         """Cached :func:`repro.core.actual_mst` per extra-token key."""
         key = _extra_key(extra_tokens, self._channel_ids)
-        with self._lock:
-            result = self._actual_mst.get(key)
-            if result is None:
-                result = mst(self._doubled_master(extra_tokens))
-                self._actual_mst[key] = result
-                self.stats.record("actual_mst", hit=False)
-            else:
-                self.stats.record("actual_mst", hit=True)
+        result = self._memo(
+            "actual_mst", key, lambda: mst(self._doubled_master(extra_tokens))
+        )
         return copy.deepcopy(result)
 
     # ------------------------------------------------------------------
     # Cycle enumeration (one structural pass serves every variant)
     # ------------------------------------------------------------------
     def _base_records(self, max_cycles: int | None) -> list[CycleRecord]:
-        with self._lock:
-            if self._records is None:
-                # Any *successful* enumeration is complete (max_cycles
-                # only aborts), so the first one serves all budgets.
-                self._records = cycle_records(
-                    self._doubled_master(), max_cycles=max_cycles
-                )
-                self.stats.record("cycles", hit=False)
-            else:
-                self.stats.record("cycles", hit=True)
-            records = self._records
+        # Any *successful* enumeration is complete (max_cycles only
+        # aborts), so the first one serves all budgets.
+        records = self._memo(
+            "cycles",
+            (),
+            lambda: cycle_records(self._doubled_master(), max_cycles=max_cycles),
+        )
         if max_cycles is not None and len(records) > max_cycles:
             raise CycleExplosionError(
                 f"cycle enumeration exceeded budget of {max_cycles}"
@@ -441,18 +371,13 @@ class Context:
 
         goal = target if target is not None else self.ideal_mst().mst
         key = (goal, _extra_key(extra_tokens, self._channel_ids), simplify)
-        with self._lock:
-            kern = self._td_kernels.get(key)
-            if kern is None:
-                instance = self.td_instance(
-                    goal, extra_tokens, max_cycles, simplify=simplify
-                )
-                kern = compile_td(instance)
-                self._td_kernels[key] = kern
-                self.stats.record("td_kernel", hit=False)
-            else:
-                self.stats.record("td_kernel", hit=True)
-            return kern
+        return self._memo(
+            "td_kernel",
+            key,
+            lambda: compile_td(
+                self.td_instance(goal, extra_tokens, max_cycles, simplify=simplify)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Rule-4 SCC collapse and the simulation kernel
@@ -463,32 +388,21 @@ class Context:
     def collapsed(self) -> tuple["Context", dict[int, int]]:
         """The rule-4 collapsed system as a Context of its own, plus the
         collapsed-channel -> original-channel map (VII-A)."""
-        with self._lock:
-            if self._collapsed is None:
-                collapsed_lis, channel_map = collapse_sccs(self.lis)
-                self._collapsed = (
-                    Context(collapsed_lis, stats=self.stats),
-                    channel_map,
-                )
-                self.stats.record("collapsed", hit=False)
-            else:
-                self.stats.record("collapsed", hit=True)
-            ctx, channel_map = self._collapsed
-            return ctx, dict(channel_map)
+
+        def build() -> tuple[Context, dict[int, int]]:
+            collapsed_lis, channel_map = collapse_sccs(self.lis)
+            return Context(collapsed_lis, stats=self.stats), channel_map
+
+        ctx, channel_map = self._memo("collapsed", (), build)
+        return ctx, dict(channel_map)
 
     def compiled(self) -> "CompiledSystem":
         """The :mod:`repro.sim` flat-array form (immutable, shared)."""
-        with self._lock:
-            if self._compiled is None:
-                from ..sim.compile import compile_lis
+        from ..sim.compile import compile_lis
 
-                self._compiled = compile_lis(
-                    self.lis, mg=self._doubled_master()
-                )
-                self.stats.record("compiled", hit=False)
-            else:
-                self.stats.record("compiled", hit=True)
-            return self._compiled
+        return self._memo(
+            "compiled", (), lambda: compile_lis(self.lis, mg=self._doubled_master())
+        )
 
     def schedule_oracle(
         self,
@@ -503,20 +417,16 @@ class Context:
         measurement, occupancy query, and differential check on the
         same fingerprint.  The walk itself reuses :meth:`compiled`.
         """
-        key = _extra_key(extra_tokens, self._channel_ids)
-        with self._lock:
-            oracle = self._schedules.get(key)
-            if oracle is None:
-                from ..schedule.oracle import derive_schedule
+        from ..schedule.oracle import derive_schedule
 
-                oracle = derive_schedule(
-                    self, extra_tokens=dict(key), max_steps=max_steps
-                )
-                self._schedules[key] = oracle
-                self.stats.record("schedule", hit=False)
-            else:
-                self.stats.record("schedule", hit=True)
-            return oracle
+        key = _extra_key(extra_tokens, self._channel_ids)
+        return self._memo(
+            "schedule",
+            key,
+            lambda: derive_schedule(
+                self, extra_tokens=dict(key), max_steps=max_steps
+            ),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -196,20 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 0.4)",
     )
     chaos.add_argument(
-        "--break-pools",
-        type=int,
-        default=0,
-        help="server campaign: pooled-engine worker processes to "
-        "terminate per seed (requires --engine-jobs > 1)",
-    )
-    chaos.add_argument(
-        "--engine-jobs",
-        type=int,
-        default=1,
-        help="server campaign: process-pool width per shard engine "
-        "(default 1: in-thread)",
-    )
-    chaos.add_argument(
         "--json",
         action="store_true",
         help="machine-readable report on stdout",
@@ -297,13 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fingerprint (default 1)",
     )
     serve.add_argument(
-        "--engine-jobs",
-        type=int,
-        default=1,
-        help="process-pool width per shard engine (default 1: run "
-        "ops in the shard thread)",
-    )
-    serve.add_argument(
         "--queue-limit",
         type=int,
         default=64,
@@ -330,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "result caching; default 4096)",
     )
     serve.add_argument(
-        "--op-timeout",
-        type=float,
-        default=None,
-        help="per-op wall-clock budget handed to the engines "
-        "(timeout/retry/pool-rebuild machinery)",
-    )
-    serve.add_argument(
         "--no-coalesce",
         action="store_true",
         help="disable in-flight request coalescing (benchmarking "
@@ -349,10 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="sliding window (s) for the self-model's arrival-rate "
         "estimate (default 60)",
     )
+    # Accepted and ignored: shard engines run ops in their own thread,
+    # so there is no process pool to warm.  perfbench/serving.py still
+    # passes the flag.
     serve.add_argument(
-        "--prewarm",
-        action="store_true",
-        help="spin shard process pools up before accepting traffic",
+        "--prewarm", action="store_true", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--no-failover",
@@ -586,8 +559,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .engine import DiskCache
     from pathlib import Path
+
+    from .engine import DiskCache, EngineStats
+    from .obs import flatten
 
     directory = Path(args.cache)
     if not directory.is_dir():
@@ -610,52 +585,7 @@ def _cmd_stats(args) -> int:
     stats = disk.read_stats()
     if stats:
         print("cumulative engine counters (stats.json):")
-        print(f"  batches: {stats.get('batches', 0)}")
-        print(f"  tasks:   {stats.get('tasks', 0)}")
-        print(f"  wall:    {stats.get('wall_seconds', 0.0):.3f}s")
-        for op, counters in sorted((stats.get("ops") or {}).items()):
-            print(
-                f"  {op:<22} calls={counters.get('calls', 0)}"
-                f" hits={counters.get('hits', 0)}"
-                f" disk_hits={counters.get('disk_hits', 0)}"
-                f" misses={counters.get('misses', 0)}"
-                f" solver_calls={counters.get('solver_calls', 0)}"
-                f" seconds={counters.get('seconds', 0.0):.3f}"
-            )
-        context = stats.get("context") or {}
-        if context:
-            print("analysis-context artifacts:")
-            artifacts = sorted(
-                {key.rsplit(".", 1)[0] for key in context}
-            )
-            for artifact in artifacts:
-                print(
-                    f"  {artifact:<22}"
-                    f" computed={context.get(f'{artifact}.miss', 0)}"
-                    f" reused={context.get(f'{artifact}.hit', 0)}"
-                )
-        solver = stats.get("solver") or {}
-        if solver:
-            print("solver-kernel counters:")
-            for key in sorted(solver):
-                print(f"  {key:<22} {solver[key]}")
-        healing = {
-            key: stats.get(key, 0)
-            for key in (
-                "retries",
-                "op_timeouts",
-                "pool_rebuilds",
-                "serial_fallbacks",
-                "failures",
-                "corrupt_entries",
-                "checkpoint_hits",
-            )
-            if stats.get(key)
-        }
-        if healing:
-            print("self-healing counters:")
-            for key, value in healing.items():
-                print(f"  {key:<22} {value}")
+        print(EngineStats(flatten(stats)).render())
     return 0
 
 
@@ -681,9 +611,7 @@ def _cmd_chaos(args) -> int:
                 seeds=seeds or (0,),
                 shards=args.server_shards,
                 clients=args.server_clients,
-                engine_jobs=args.engine_jobs,
                 hang_timeout=args.hang_timeout,
-                break_pools=args.break_pools,
             )
         )
         if args.json:
@@ -1168,15 +1096,12 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         shards=args.shards,
-        engine_jobs=args.engine_jobs,
         queue_limit=args.queue_limit,
         cache_dir=args.cache,
         cache_bytes=args.cache_bytes,
         memo_size=args.memo_size,
-        op_timeout=args.op_timeout,
         coalesce=not args.no_coalesce,
         window=args.window,
-        prewarm=args.prewarm,
         failover=not args.no_failover,
         supervise=not args.no_supervise,
         hang_timeout=args.hang_timeout,
@@ -1213,9 +1138,9 @@ def _cmd_serve(args) -> int:
             print(server.qmodel.render())
             metrics = server.metrics
             print(
-                f"requests: {metrics.received}   "
-                f"completed: {metrics.completed}   "
-                f"shed: {metrics.shed}   "
+                f"requests: {metrics.requests.received}   "
+                f"completed: {metrics.requests.completed}   "
+                f"shed: {metrics.requests.shed}   "
                 f"coalesced: {server.coalescer.followers} "
                 f"({server.coalescer.coalesce_rate:.1%})   "
                 f"cache hit rate: {metrics.cache_hit_rate:.1%}"

@@ -17,14 +17,13 @@ content-hash cache layers.
 
 from .cache import DiskCache, LruCache, canonical_options, content_key
 from .checkpoint import Checkpoint, run_checkpointed, task_key
-from .core import AnalysisEngine, EngineStats, OpStats, analyze_many
+from .core import AnalysisEngine, EngineStats, analyze_many
 from .ops import available_ops, get_op, register_op, run_op
 from .portfolio import PORTFOLIO_NODE_LIMIT, solve_exact_portfolio
 
 __all__ = [
     "AnalysisEngine",
     "EngineStats",
-    "OpStats",
     "analyze_many",
     "available_ops",
     "get_op",

@@ -38,6 +38,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterator
 
+from ..obs import Counters, flatten, nest
+
 try:  # advisory locking: POSIX only, degrade gracefully elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
@@ -318,19 +320,14 @@ class DiskCache:
         parallel benchmark runs) would each read the same baseline and
         the slower writer would silently drop the faster one's counts.
         """
-
-        def merge(into: dict, frm: dict) -> dict:
-            for key, value in frm.items():
-                if isinstance(value, dict):
-                    into[key] = merge(dict(into.get(key) or {}), value)
-                elif isinstance(value, (int, float)):
-                    into[key] = into.get(key, 0) + value
-                else:
-                    into[key] = value
-            return into
-
         with self._lock():
-            merged = merge(self.read_stats(), update)
+            counts = Counters(flatten(self.read_stats()))
+            counts.merge(flatten(update))
+            # Sections with no counts yet (``"solver": {}``) keep their key.
+            merged = {
+                **{k: {} for k, v in update.items() if isinstance(v, dict)},
+                **nest(counts.snapshot()),
+            }
             path = self.directory / self.STATS_FILE
             text = json.dumps(merged, indent=2, sort_keys=True) + "\n"
             # Atomic (write-temp-then-rename): a crash mid-write must

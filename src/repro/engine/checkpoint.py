@@ -164,7 +164,7 @@ def run_checkpointed(
         if key in ckpt:
             results[i] = ckpt.get(key)
             ckpt.served += 1
-            engine.stats.checkpoint_hits += 1
+            engine.stats.counters.add("checkpoint_hits")
         else:
             missing.append(i)
     step = max(1, int(chunk))

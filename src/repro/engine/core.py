@@ -33,250 +33,140 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from types import SimpleNamespace
+from typing import Iterable, Mapping, Sequence
 
 from ..analysis import Context
 from ..core.lis_graph import LisGraph
 from ..core.serialize import lis_to_json
+from ..obs import Counters, render
 from .cache import DiskCache, LruCache, content_key
 from .ops import run_op
 
-__all__ = ["AnalysisEngine", "EngineStats", "OpStats", "analyze_many"]
+__all__ = ["AnalysisEngine", "EngineStats", "analyze_many"]
 
 
-@dataclass
-class OpStats:
-    """Counters for one operation name."""
+#: Counters kept per op name (``ops/<op>/<field>`` keys).
+OP_FIELDS = (
+    "calls",
+    "hits",
+    "disk_hits",
+    "misses",
+    "coalesced",
+    "seconds",
+    "solver_calls",
+    "failures",
+)
 
-    calls: int = 0
-    hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    coalesced: int = 0
-    seconds: float = 0.0
-    solver_calls: int = 0
-    failures: int = 0
+#: Engine-wide counters (the stats document's top-level keys).  The
+#: self-healing ones count ops replayed after a pool fault, per-op
+#: wall-clock timeouts, pool teardown/rebuild events, ops that fell
+#: back to in-process serial execution, ops that ultimately failed
+#: (their exception is attached to the task outcome), corrupt disk
+#: cache entries quarantined, and tasks served from a checkpoint file
+#: instead of being recomputed.
+ENGINE_FIELDS = (
+    "batches",
+    "tasks",
+    "wall_seconds",
+    "serialize_seconds",
+    "retries",
+    "op_timeouts",
+    "pool_rebuilds",
+    "serial_fallbacks",
+    "failures",
+    "corrupt_entries",
+    "checkpoint_hits",
+)
 
-    def as_dict(self) -> dict:
-        return {
-            "calls": self.calls,
-            "hits": self.hits,
-            "disk_hits": self.disk_hits,
-            "misses": self.misses,
-            "coalesced": self.coalesced,
-            "seconds": self.seconds,
-            "solver_calls": self.solver_calls,
-            "failures": self.failures,
-        }
+#: Name-column headings of the stats tables.
+_TITLES = {"ops": "op", "context": "artifact", "solver": "solver counter"}
 
-    def delta(self, before: "OpStats") -> "OpStats":
-        """Counters accumulated since ``before`` (a prior snapshot)."""
-        return OpStats(
-            calls=self.calls - before.calls,
-            hits=self.hits - before.hits,
-            disk_hits=self.disk_hits - before.disk_hits,
-            misses=self.misses - before.misses,
-            coalesced=self.coalesced - before.coalesced,
-            seconds=self.seconds - before.seconds,
-            solver_calls=self.solver_calls - before.solver_calls,
-            failures=self.failures - before.failures,
+
+class EngineStats:
+    """The engine's counters, on one :class:`repro.obs.Counters`.
+
+    Keys are paths into the stats document (``/stats`` -> ``engine``,
+    ``stats.json``): ``ops/<op>/<field>`` (:data:`OP_FIELDS`),
+    ``context/<artifact>.<hit|miss>`` (the repro.analysis counters of
+    every op run), ``solver/<counter>`` (solver-kernel search counters
+    of every op that ran a registry solver), and the engine-wide
+    :data:`ENGINE_FIELDS`.  Engine-wide fields and the per-op fields
+    summed over every op read as attributes (``stats.tasks``,
+    ``stats.hits``).
+
+    Long-lived processes (the analysis server, notebook sessions) take
+    a :meth:`snapshot` before an operation and a :meth:`delta`
+    afterwards to get exactly what that operation contributed, without
+    resetting the cumulative view other readers rely on.
+    """
+
+    __slots__ = ("counters",)
+
+    def __init__(self, values: Mapping[str, float] | None = None) -> None:
+        self.counters = Counters(values, fields=ENGINE_FIELDS)
+
+    def __getattr__(self, name: str):
+        if name in ENGINE_FIELDS:
+            return self.counters.get(name)
+        if name in OP_FIELDS:  # summed over ops: stats.hits, stats.misses
+            return sum(op[name] for op in self.as_dict()["ops"].values())
+        raise AttributeError(name)
+
+    def op(self, name: str) -> SimpleNamespace:
+        """One op's counters, as attributes (zero if it never ran)."""
+        return SimpleNamespace(
+            **{f: self.counters.get(f"ops/{name}/{f}") for f in OP_FIELDS}
         )
 
-
-@dataclass
-class EngineStats:
-    """Aggregated engine observability (see :class:`OpStats`)."""
-
-    ops: dict[str, OpStats] = field(default_factory=dict)
-    batches: int = 0
-    tasks: int = 0
-    wall_seconds: float = 0.0
-    serialize_seconds: float = 0.0
-    #: Aggregated repro.analysis per-artifact counters
-    #: (``"<artifact>.hit"`` / ``"<artifact>.miss"``) from every op run.
-    context: dict[str, int] = field(default_factory=dict)
-    #: Aggregated solver-kernel search counters (``nodes_explored``,
-    #: ``table_hits``, ``bound_cuts``, ``batch_checks``) from every op
-    #: that ran a registry solver.
-    solver: dict[str, int] = field(default_factory=dict)
-    #: Self-healing counters: ops replayed after a pool fault, per-op
-    #: wall-clock timeouts, pool teardown/rebuild events, ops that fell
-    #: back to in-process serial execution, ops that ultimately failed
-    #: (their exception is attached to the task outcome), corrupt disk
-    #: cache entries quarantined, and tasks served from a checkpoint
-    #: file instead of being recomputed.
-    retries: int = 0
-    op_timeouts: int = 0
-    pool_rebuilds: int = 0
-    serial_fallbacks: int = 0
-    failures: int = 0
-    corrupt_entries: int = 0
-    checkpoint_hits: int = 0
-
-    def op(self, name: str) -> OpStats:
-        if name not in self.ops:
-            self.ops[name] = OpStats()
-        return self.ops[name]
+    @property
+    def ops(self) -> dict[str, SimpleNamespace]:
+        return {name: self.op(name) for name in self.as_dict()["ops"]}
 
     @property
-    def hits(self) -> int:
-        return sum(s.hits for s in self.ops.values())
+    def context(self) -> dict[str, int]:
+        return self.as_dict()["context"]
 
     @property
-    def disk_hits(self) -> int:
-        return sum(s.disk_hits for s in self.ops.values())
-
-    @property
-    def misses(self) -> int:
-        return sum(s.misses for s in self.ops.values())
-
-    @property
-    def solver_calls(self) -> int:
-        return sum(s.solver_calls for s in self.ops.values())
+    def solver(self) -> dict[str, int]:
+        return self.as_dict()["solver"]
 
     @property
     def hit_rate(self) -> float:
         served = self.hits + self.disk_hits + self.misses
         return (self.hits + self.disk_hits) / served if served else 0.0
 
-    def merge_context(self, counters: dict[str, int]) -> None:
-        for key, value in (counters or {}).items():
-            self.context[key] = self.context.get(key, 0) + int(value)
-
-    def merge_solver(self, counters: dict[str, int]) -> None:
-        for key, value in (counters or {}).items():
-            self.solver[key] = self.solver.get(key, 0) + int(value)
-
     def as_dict(self) -> dict:
-        return {
-            "batches": self.batches,
-            "tasks": self.tasks,
-            "wall_seconds": self.wall_seconds,
-            "serialize_seconds": self.serialize_seconds,
-            "ops": {name: s.as_dict() for name, s in self.ops.items()},
-            "context": dict(self.context),
-            "solver": dict(self.solver),
-            "retries": self.retries,
-            "op_timeouts": self.op_timeouts,
-            "pool_rebuilds": self.pool_rebuilds,
-            "serial_fallbacks": self.serial_fallbacks,
-            "failures": self.failures,
-            "corrupt_entries": self.corrupt_entries,
-            "checkpoint_hits": self.checkpoint_hits,
+        """The stats document: every engine-wide field and every
+        field of each op that ran, zeros included."""
+        doc = self.counters.as_dict()
+        doc["ops"] = {
+            name: {f: fields.get(f, 0) for f in OP_FIELDS}
+            for name, fields in doc.get("ops", {}).items()
         }
+        doc.setdefault("context", {})
+        doc.setdefault("solver", {})
+        return doc
 
     def snapshot(self) -> "EngineStats":
-        """An independent deep copy of the current counters.
-
-        Long-lived processes (the analysis server, notebook sessions)
-        need *per-interval* observability on top of the engine's
-        cumulative counters: take a snapshot before an operation and
-        call :meth:`delta` afterwards to get exactly what that
-        operation contributed, without resetting (and thereby
-        conflating) the cumulative view other readers rely on.
-        """
-        return copy.deepcopy(self)
+        """An independent copy of the current counters."""
+        return EngineStats(self.counters.snapshot())
 
     def delta(self, before: "EngineStats") -> "EngineStats":
-        """The counters accumulated since the ``before`` snapshot.
-
-        Every numeric field, per-op table entry, and context/solver
-        counter is subtracted; ops (and counter keys) that saw no
-        traffic in the interval are dropped from the result, so a
-        delta renders as the interval's activity only.
-        """
-        out = EngineStats(
-            batches=self.batches - before.batches,
-            tasks=self.tasks - before.tasks,
-            wall_seconds=self.wall_seconds - before.wall_seconds,
-            serialize_seconds=(
-                self.serialize_seconds - before.serialize_seconds
-            ),
-            retries=self.retries - before.retries,
-            op_timeouts=self.op_timeouts - before.op_timeouts,
-            pool_rebuilds=self.pool_rebuilds - before.pool_rebuilds,
-            serial_fallbacks=(
-                self.serial_fallbacks - before.serial_fallbacks
-            ),
-            failures=self.failures - before.failures,
-            corrupt_entries=self.corrupt_entries - before.corrupt_entries,
-            checkpoint_hits=self.checkpoint_hits - before.checkpoint_hits,
-        )
-        for name, stats in self.ops.items():
-            prior = before.ops.get(name, OpStats())
-            diff = stats.delta(prior)
-            if any(v for v in diff.as_dict().values()):
-                out.ops[name] = diff
-        for field_name in ("context", "solver"):
-            current: dict = getattr(self, field_name)
-            prior_map: dict = getattr(before, field_name)
-            diff_map = {
-                key: value - prior_map.get(key, 0)
-                for key, value in current.items()
-                if value - prior_map.get(key, 0)
-            }
-            getattr(out, field_name).update(diff_map)
-        return out
+        """The counters accumulated since the ``before`` snapshot; ops
+        (and counter keys) that saw no traffic are dropped."""
+        return EngineStats(self.counters.delta(before.counters.snapshot()))
 
     def render(self) -> str:
-        """Human-readable stats block (the ``repro stats`` view)."""
-        lines = [
-            f"batches: {self.batches}   tasks: {self.tasks}   "
-            f"wall: {self.wall_seconds:.3f}s   "
-            f"hit rate: {self.hit_rate:.1%}",
-            f"{'op':<22}{'calls':>7}{'hits':>7}{'disk':>7}"
-            f"{'miss':>7}{'solver':>8}{'seconds':>10}",
-        ]
-        for name in sorted(self.ops):
-            s = self.ops[name]
-            lines.append(
-                f"{name:<22}{s.calls:>7}{s.hits:>7}{s.disk_hits:>7}"
-                f"{s.misses:>7}{s.solver_calls:>8}{s.seconds:>10.3f}"
-            )
-        if self.context:
-            lines.append(f"{'artifact':<22}{'computed':>9}{'reused':>9}")
-            artifacts = sorted(
-                {key.rsplit(".", 1)[0] for key in self.context}
-            )
-            for artifact in artifacts:
-                lines.append(
-                    f"{artifact:<22}"
-                    f"{self.context.get(f'{artifact}.miss', 0):>9}"
-                    f"{self.context.get(f'{artifact}.hit', 0):>9}"
-                )
-        if self.solver:
-            lines.append(f"{'solver counter':<22}{'total':>9}")
-            for key in sorted(self.solver):
-                lines.append(f"{key:<22}{self.solver[key]:>9}")
-        healing = {
-            "retries": self.retries,
-            "op timeouts": self.op_timeouts,
-            "pool rebuilds": self.pool_rebuilds,
-            "serial fallbacks": self.serial_fallbacks,
-            "failures": self.failures,
-            "corrupt entries": self.corrupt_entries,
-            "checkpoint hits": self.checkpoint_hits,
-        }
-        if any(healing.values()):
-            lines.append(
-                "self-healing: "
-                + "   ".join(f"{k}: {v}" for k, v in healing.items() if v)
-            )
-        return "\n".join(lines)
+        """Human-readable stats block (``repro analyze --stats``,
+        ``repro stats``)."""
+        return f"hit rate: {self.hit_rate:.1%}\n" + render(
+            self.as_dict(), _TITLES
+        )
 
 
 def _default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
-
-
-def _warm_worker() -> int:
-    """Pool-worker warmup body: pull the heavy module tree into the
-    worker process so the first real op doesn't pay the imports."""
-    from ..analysis import context_from_json  # noqa: F401
-    from ..core.throughput import actual_mst  # noqa: F401
-
-    return os.getpid()
 
 
 class _TaskFailure:
@@ -371,29 +261,6 @@ class AnalysisEngine:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
-    def prewarm(self) -> None:
-        """Spin the worker pool up (and import the analysis stack in
-        every worker) before the first real batch arrives.
-
-        A long-lived front end (the analysis server) reuses one engine
-        handle per shard across its whole lifetime; without prewarming,
-        the first request after startup -- or after a pool rebuild --
-        pays process fork + module import inside its latency budget.
-        No-op for in-process engines (``jobs <= 1``) and when the pool
-        already exists with live workers.
-        """
-        if self.jobs <= 1 or self._closed:
-            return
-        pool = self._ensure_pool()
-        futures = [pool.submit(_warm_worker) for _ in range(self.jobs)]
-        for future in futures:
-            try:
-                future.result()
-            except Exception:
-                # A worker dying during warmup is handled by the
-                # normal self-healing path on the first real batch.
-                pass
-
     def _rebuild_pool(self) -> None:
         """Tear the (presumed broken or wedged) pool down -- terminating
         any worker that is still alive, e.g. one stuck in a timed-out op
@@ -406,7 +273,7 @@ class AnalysisEngine:
                 except Exception:
                     pass
             pool.shutdown(wait=False, cancel_futures=True)
-        self.stats.pool_rebuilds += 1
+        self.stats.counters.add("pool_rebuilds")
 
     # -- the batch surface --------------------------------------------
 
@@ -433,8 +300,8 @@ class AnalysisEngine:
         documented deterministic ordering.
         """
         t_start = time.perf_counter()
-        self.stats.batches += 1
-        self.stats.tasks += len(tasks)
+        counts = self.stats.counters
+        counts.merge({"batches": 1, "tasks": len(tasks)})
 
         results: list = [None] * len(tasks)
         # key -> (op, lis_json, options, [indices])
@@ -449,12 +316,11 @@ class AnalysisEngine:
                     lis_json = lis.lis_json
                 else:
                     lis_json = lis_to_json(lis)
-                self.stats.serialize_seconds += time.perf_counter() - t0
+                counts.add("serialize_seconds", time.perf_counter() - t0)
                 key = content_key(op, lis_json, options)
-                per_op = self.stats.op(op)
-                per_op.calls += 1
+                counts.add(f"ops/{op}/calls")
                 if key in self._memory:
-                    per_op.hits += 1
+                    counts.add(f"ops/{op}/hits")
                     results[i] = copy.deepcopy(self._memory.get(key))
                     continue
                 if self._disk is not None:
@@ -463,12 +329,12 @@ class AnalysisEngine:
                     except KeyError:
                         pass
                     else:
-                        per_op.disk_hits += 1
+                        counts.add(f"ops/{op}/disk_hits")
                         self._memory.put(key, value)
                         results[i] = copy.deepcopy(value)
                         continue
                 if key in pending:
-                    per_op.coalesced += 1
+                    counts.add(f"ops/{op}/coalesced")
                     pending[key][3].append(i)
                 else:
                     pending[key] = [op, lis_json, options, [i]]
@@ -477,8 +343,10 @@ class AnalysisEngine:
                 self._execute(pending, results)
         finally:
             if self._disk is not None:
-                self.stats.corrupt_entries = self._disk.corrupt_entries
-            self.stats.wall_seconds += time.perf_counter() - t_start
+                fresh = self._disk.corrupt_entries - counts.corrupt_entries
+                if fresh:
+                    counts.add("corrupt_entries", fresh)
+            counts.add("wall_seconds", time.perf_counter() - t_start)
 
         first_error: BaseException | None = None
         for i, value in enumerate(results):
@@ -504,20 +372,25 @@ class AnalysisEngine:
                 self._run_local(op, lis_json, options)
                 for _, (op, lis_json, options, _) in items
             ]
+        counts = self.stats.counters
         for (key, (op, _, _, indices)), outcome in zip(items, outcomes):
-            per_op = self.stats.op(op)
             if isinstance(outcome, _TaskFailure):
-                per_op.failures += 1
-                self.stats.failures += 1
+                counts.merge({f"ops/{op}/failures": 1, "failures": 1})
                 for i in indices:
                     results[i] = outcome
                 continue
             value, meta = outcome
-            per_op.misses += 1
-            per_op.seconds += meta.get("elapsed", 0.0)
-            per_op.solver_calls += meta.get("solver_calls", 0)
-            self.stats.merge_context(meta.get("context") or {})
-            self.stats.merge_solver(meta.get("solver") or {})
+            context = meta.get("context") or {}
+            solver = meta.get("solver") or {}
+            counts.merge(
+                {
+                    f"ops/{op}/misses": 1,
+                    f"ops/{op}/seconds": meta.get("elapsed", 0.0),
+                    f"ops/{op}/solver_calls": meta.get("solver_calls", 0),
+                    **{f"context/{k}": n for k, n in context.items()},
+                    **{f"solver/{k}": n for k, n in solver.items()},
+                }
+            )
             self._memory.put(key, value)
             if self._disk is not None:
                 self._disk.put(op, key, value)
@@ -564,7 +437,7 @@ class AnalysisEngine:
                 elif failure is not None:
                     outcomes[i] = failure
                 else:
-                    self.stats.serial_fallbacks += 1
+                    self.stats.counters.add("serial_fallbacks")
                     outcomes[i] = self._run_local(*calls[i])
 
             for i in todo:
@@ -578,7 +451,7 @@ class AnalysisEngine:
                         timeout=None if broken else self.op_timeout
                     )
                 except _FutureTimeout:
-                    self.stats.op_timeouts += 1
+                    self.stats.counters.add("op_timeouts")
                     broken = True  # the worker is wedged; rebuild below
                     fault(
                         i,
@@ -600,7 +473,7 @@ class AnalysisEngine:
                 self._rebuild_pool()
             todo = retry
             if todo:
-                self.stats.retries += len(todo)
+                self.stats.counters.add("retries", len(todo))
                 delay = self.retry_backoff * (2**round_no)
                 round_no += 1
                 if delay > 0:

@@ -5,7 +5,8 @@ An *op* is a named pure function over a shared analysis context::
     fn(ctx: repro.analysis.Context, options: dict) -> (result, meta)
 
 where ``meta`` carries observability counters (``solver_calls``, plus
-the per-artifact ``context`` hit/miss delta added by :func:`run_op`).
+the op's per-artifact ``context`` hit/miss counts added by
+:func:`run_op`).
 Ops receive the :class:`~repro.analysis.Context` for the serialized
 system's fingerprint -- the same SHA-256 the cache key is built from --
 so a result is valid for exactly the content that keyed it, worker
@@ -55,16 +56,19 @@ def available_ops() -> tuple[str, ...]:
 
 def run_op(op: str, lis_json: str, options: dict | None) -> tuple:
     """Execute one op; the ``(result, meta)`` pair comes back with the
-    compute wall-clock and the context-counter delta added to ``meta``.
-    This is the function worker processes run."""
+    compute wall-clock and the op's own context counts added to
+    ``meta``.  The counts come from a :meth:`~repro.obs.Counters.scope`,
+    so ops running at the same time on other threads are not charged
+    for each other's work.  This is the function worker processes
+    run."""
     fn = get_op(op)
     ctx = context_from_json(lis_json)
-    before = global_stats().snapshot()
-    t0 = time.perf_counter()
-    result, meta = fn(ctx, options or {})
-    meta = dict(meta)
-    meta["elapsed"] = time.perf_counter() - t0
-    meta["context"] = global_stats().delta(before)
+    with global_stats().scope() as counts:
+        t0 = time.perf_counter()
+        result, meta = fn(ctx, options or {})
+        meta = dict(meta)
+        meta["elapsed"] = time.perf_counter() - t0
+    meta["context"] = counts.snapshot()
     return result, meta
 
 

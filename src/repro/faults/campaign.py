@@ -278,13 +278,9 @@ def engine_chaos_drill(
     ]
 
     def _drill(eng) -> dict:
-        before = {
-            "pool_rebuilds": eng.stats.pool_rebuilds,
-            "retries": eng.stats.retries,
-            "op_timeouts": eng.stats.op_timeouts,
-            "serial_fallbacks": eng.stats.serial_fallbacks,
-        }
+        before = eng.stats.snapshot()
         results = eng.run(tasks, return_exceptions=True)
+        healing = eng.stats.delta(before)
         probe = results[0]
         siblings_ok = all(
             not isinstance(r, BaseException) for r in results[1:]
@@ -294,11 +290,10 @@ def engine_chaos_drill(
             "survived": isinstance(probe, dict)
             and bool(probe.get("survived")),
             "siblings_ok": siblings_ok,
-            "pool_rebuilds": eng.stats.pool_rebuilds - before["pool_rebuilds"],
-            "retries": eng.stats.retries - before["retries"],
-            "op_timeouts": eng.stats.op_timeouts - before["op_timeouts"],
-            "serial_fallbacks": eng.stats.serial_fallbacks
-            - before["serial_fallbacks"],
+            "pool_rebuilds": healing.pool_rebuilds,
+            "retries": healing.retries,
+            "op_timeouts": healing.op_timeouts,
+            "serial_fallbacks": healing.serial_fallbacks,
         }
 
     try:

@@ -67,18 +67,15 @@ class ServerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral (read back from .port after start)
     shards: int = 1
-    engine_jobs: int = 1
     cache_dir: str | None = None
     cache_bytes: int | None = None
     #: In-memory memo entries per shard engine (0 disables caching --
     #: used by the load benchmark's uncached baseline).
     memo_size: int = 4096
     queue_limit: int = 64
-    op_timeout: float | None = None
     coalesce: bool = True
     window: float = 60.0
     max_body: int = 16 * 1024 * 1024
-    prewarm: bool = False
     #: Route around shards whose breaker is open (content ops are
     #: pure and content-keyed, so any shard can serve any key).
     failover: bool = True
@@ -113,11 +110,9 @@ class AnalysisServer:
         self.coalescer = Coalescer(enabled=self.config.coalesce)
         self.pool = ShardPool(
             shards=self.config.shards,
-            engine_jobs=self.config.engine_jobs,
             cache_dir=self.config.cache_dir,
             cache_bytes=self.config.cache_bytes,
             memo_size=self.config.memo_size,
-            op_timeout=self.config.op_timeout,
             queue_limit=self.config.queue_limit,
             qmodel=self.qmodel,
             failover=self.config.failover,
@@ -143,7 +138,7 @@ class AnalysisServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self.pool.start(prewarm=self.config.prewarm)
+        self.pool.start()
         if self.config.supervise:
             self.supervisor.start()
         self._server = await asyncio.start_server(
@@ -314,7 +309,6 @@ class AnalysisServer:
         )
         out["server"] = {
             "shards": self.config.shards,
-            "engine_jobs": self.config.engine_jobs,
             "queue_limit": self.config.queue_limit,
             "coalesce": self.config.coalesce,
             "uptime_s": (
@@ -353,7 +347,7 @@ class AnalysisServer:
         try:
             payload = json.loads(body.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
-            self.metrics.invalid += 1
+            self.metrics.requests.add("invalid")
             return self._json_response(
                 writer,
                 self._envelope(
@@ -363,7 +357,7 @@ class AnalysisServer:
                 keep_alive=keep_alive,
             )
         if not isinstance(payload, dict) or "method" not in payload:
-            self.metrics.invalid += 1
+            self.metrics.requests.add("invalid")
             return self._json_response(
                 writer,
                 self._envelope(
@@ -382,7 +376,7 @@ class AnalysisServer:
                 str(payload["method"]), payload.get("params")
             )
         except RpcError as exc:
-            self.metrics.invalid += 1
+            self.metrics.requests.add("invalid")
             return self._json_response(
                 writer,
                 self._envelope(request_id, error=exc),
@@ -417,20 +411,23 @@ class AnalysisServer:
         the moment the execution finishes -- even if every subscriber
         (the leader's connection included) timed out or went away."""
         outcome = await self.pool.execute(job, entry)
-        self.metrics.record_execution(outcome.delta)
+        self.metrics.record_execution(outcome)
         return outcome
 
-    async def _run(self, job: Job) -> dict:
-        """Coalesce + execute one job; shared-outcome fan-out."""
-        entry, leader = self.coalescer.admit(
-            job.key, lambda e: self._start(job, e)
-        )
+    def _admit(self, job: Job) -> tuple[InflightEntry, bool]:
+        return self.coalescer.admit(job.key, lambda e: self._start(job, e))
+
+    async def _result(
+        self, job: Job, entry: InflightEntry, leader: bool
+    ) -> dict:
+        """One subscriber's JSON-RPC result (or the :class:`RpcError`
+        its request ended with), with the outcome counted."""
         try:
             outcome = await self.coalescer.wait(
                 entry, timeout=job.deadline_s
             )
         except asyncio.TimeoutError:
-            self.metrics.deadline_exceeded += 1
+            self.metrics.requests.add("deadline_exceeded")
             raise RpcError(
                 DEADLINE_EXCEEDED,
                 f"result not ready within "
@@ -439,14 +436,14 @@ class AnalysisServer:
             ) from None
         except RpcError as exc:
             if exc.code in (OVERLOADED, ALL_SHARDS_DOWN):
-                self.metrics.shed += 1
+                self.metrics.requests.add("shed")
             elif exc.code == DEADLINE_EXCEEDED:
-                self.metrics.deadline_exceeded += 1
+                self.metrics.requests.add("deadline_exceeded")
             else:
-                self.metrics.failed += 1
+                self.metrics.requests.add("failed")
             raise
         assert isinstance(outcome, ExecutionOutcome)
-        self.metrics.completed += 1
+        self.metrics.requests.add("completed")
         if outcome.rendered is None:
             outcome.rendered = jsonify(outcome.value)
         return {
@@ -461,6 +458,10 @@ class AnalysisServer:
                 "service_ms": outcome.service_s * 1e3,
             },
         }
+
+    async def _run(self, job: Job) -> dict:
+        """Coalesce + execute one job; shared-outcome fan-out."""
+        return await self._result(job, *self._admit(job))
 
     async def _run_streaming(
         self,
@@ -482,15 +483,11 @@ class AnalysisServer:
             writer.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
 
         events: asyncio.Queue = asyncio.Queue()
-        entry, leader = self.coalescer.admit(
-            job.key, lambda e: self._start(job, e)
-        )
+        entry, leader = self._admit(job)
         entry.subscribers.append(events)
         if not leader:
             chunk({"event": "joined", "coalesced": True})
-        waiter = asyncio.ensure_future(
-            self.coalescer.wait(entry, timeout=job.deadline_s)
-        )
+        waiter = asyncio.ensure_future(self._result(job, entry, leader))
         try:
             while not waiter.done():
                 getter = asyncio.ensure_future(events.get())
@@ -506,42 +503,9 @@ class AnalysisServer:
             while not events.empty():
                 chunk(events.get_nowait())
             try:
-                outcome = waiter.result()
-            except asyncio.TimeoutError:
-                self.metrics.deadline_exceeded += 1
-                chunk(
-                    self._envelope(
-                        request_id,
-                        error=RpcError(
-                            DEADLINE_EXCEEDED, "deadline exceeded"
-                        ),
-                    )
-                )
+                chunk(self._envelope(request_id, result=waiter.result()))
             except RpcError as exc:
-                if exc.code == OVERLOADED:
-                    self.metrics.shed += 1
-                else:
-                    self.metrics.failed += 1
                 chunk(self._envelope(request_id, error=exc))
-            else:
-                assert isinstance(outcome, ExecutionOutcome)
-                self.metrics.completed += 1
-                if outcome.rendered is None:
-                    outcome.rendered = jsonify(outcome.value)
-                chunk(
-                    self._envelope(
-                        request_id,
-                        result={
-                            "value": outcome.rendered,
-                            "meta": {
-                                "method": job.method,
-                                "coalesced": not leader,
-                                "shard": outcome.shard,
-                                "cache_served": outcome.cache_served,
-                            },
-                        },
-                    )
-                )
         finally:
             if events in entry.subscribers:
                 entry.subscribers.remove(events)

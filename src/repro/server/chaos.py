@@ -15,8 +15,6 @@ injects faults drawn from a seeded RNG:
   ``chaos_hook`` seam, raised or slept *inside* the worker thread
   (hangs exceed the watchdog threshold, forcing a kill + engine
   rebuild);
-* **broken process pools** -- terminate a pooled engine's worker
-  process (only meaningful with ``engine_jobs > 1``);
 * **severed connections** -- close a client's keep-alive socket while
   a call may be in flight (exercising reconnect-and-retry).
 
@@ -66,7 +64,6 @@ class ServerChaosConfig:
     seeds: tuple[int, ...] = (0, 1, 2)
     shards: int = 2
     clients: int = 8
-    engine_jobs: int = 1
     queue_limit: int = 64
     #: Mean delay between injection events (seconds).
     injection_period: float = 0.03
@@ -84,8 +81,6 @@ class ServerChaosConfig:
     heartbeat_interval: float = 0.05
     breaker_threshold: int = 4
     breaker_cooldown: float = 0.3
-    #: Pooled-engine process kills per seed (needs ``engine_jobs>1``).
-    break_pools: int = 0
     #: Client-side per-request timeout: exceeding it is a *hang*
     #: violation (must dominate the full retry + cooldown chain).
     request_timeout: float = 15.0
@@ -125,7 +120,6 @@ class ServerChaosReport:
                 "retries_used",
                 "kills",
                 "drops",
-                "pool_breaks",
             )
         }
         return {
@@ -235,21 +229,6 @@ def _make_hook(cfg: ServerChaosConfig, seed: int, counters: dict):
     return hook
 
 
-def _break_one_pool(server: AnalysisServer, rng: random.Random) -> bool:
-    """Terminate one worker process of a random pooled shard engine;
-    the engine's own BrokenProcessPool recovery (PR 5) must absorb
-    it.  No-op for in-thread engines (``engine_jobs == 1``)."""
-    engines = list(server.pool.engines)
-    rng.shuffle(engines)
-    for engine in engines:
-        pool = getattr(engine, "_pool", None)
-        processes = list(getattr(pool, "_processes", {}).values())
-        if processes:
-            rng.choice(processes).terminate()
-            return True
-    return False
-
-
 async def _drive_seed(
     cfg: ServerChaosConfig, seed: int
 ) -> tuple[dict, list[dict]]:
@@ -258,7 +237,6 @@ async def _drive_seed(
     counters = {
         "kills": 0,
         "drops": 0,
-        "pool_breaks": 0,
         "hangs_injected": 0,
         "exceptions_injected": 0,
     }
@@ -266,7 +244,6 @@ async def _drive_seed(
         ServerConfig(
             port=0,
             shards=cfg.shards,
-            engine_jobs=cfg.engine_jobs,
             queue_limit=cfg.queue_limit,
             heartbeat_interval=cfg.heartbeat_interval,
             hang_timeout=cfg.hang_timeout,
@@ -324,9 +301,6 @@ async def _drive_seed(
 
     async def chaos_task() -> None:
         chaos_rng = random.Random(seed * 31 + 7)
-        pool_breaks_left = (
-            cfg.break_pools if cfg.engine_jobs > 1 else 0
-        )
         kinds = [
             ("kill", cfg.kill_workers),
             ("drop", cfg.drop_connections),
@@ -355,11 +329,6 @@ async def _drive_seed(
                 if victim is not None:
                     await victim.aclose()
                     counters["drops"] += 1
-            if pool_breaks_left > 0 and _break_one_pool(
-                server, chaos_rng
-            ):
-                pool_breaks_left -= 1
-                counters["pool_breaks"] += 1
 
     clients: list[ServerClient | None] = [None] * cfg.clients
     slices: list[list] = [[] for _ in range(cfg.clients)]
@@ -448,7 +417,6 @@ async def _drive_seed(
         ),
         "kills": counters["kills"],
         "drops": counters["drops"],
-        "pool_breaks": counters["pool_breaks"],
         "injected": {
             "hangs": counters["hangs_injected"],
             "exceptions": counters["exceptions_injected"],
@@ -525,9 +493,7 @@ def run_server_campaign(
             "seeds": list(cfg.seeds),
             "shards": cfg.shards,
             "clients": cfg.clients,
-            "engine_jobs": cfg.engine_jobs,
             "hang_timeout": cfg.hang_timeout,
-            "break_pools": cfg.break_pools,
         }
     )
     for seed in cfg.seeds:

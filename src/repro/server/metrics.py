@@ -7,71 +7,62 @@ Bridges the three observability layers into one ``/stats`` document:
   *deltas* (snapshot/delta, so a long-lived server can attribute
   hits/misses per request instead of only cumulatively), and
 * the :class:`~repro.server.qmodel.QueueModel` self-model.
+
+Every counter lives on a :class:`repro.obs.Counters`.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ..engine.core import EngineStats
+from ..obs import Counters
 from .qmodel import QueueModel
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .pool import ExecutionOutcome
 
 __all__ = ["ServerMetrics"]
 
+#: Request outcomes (``/stats`` -> ``requests``); ``per_method/<method>``
+#: keys tally received requests by method.
+REQUEST_FIELDS = (
+    "received",
+    "completed",
+    "failed",
+    "invalid",
+    "shed",
+    "deadline_exceeded",
+)
+
 
 class ServerMetrics:
-    """Mutable counter block owned by the server event loop (asyncio
-    single-threaded, so plain attributes suffice)."""
+    """The server's counter blocks (owned by the event loop)."""
 
     def __init__(self, qmodel: QueueModel) -> None:
         self.qmodel = qmodel
-        self.received = 0
-        self.completed = 0
-        self.failed = 0
-        self.invalid = 0
-        self.shed = 0
-        self.deadline_exceeded = 0
-        self.per_method: dict[str, int] = {}
+        self.requests = Counters(fields=REQUEST_FIELDS)
+        #: Executions actually run on a shard (coalescing leaders), and
+        #: those whose engine delta was pure cache (no misses).
+        self.executions = Counters(fields=("executed", "cache_served"))
         #: Sum of every per-request engine-stats delta.
         self.engine = EngineStats()
-        #: Requests whose engine delta was pure cache (no misses).
-        self.cache_served = 0
-        #: Executions actually run on a shard (coalescing leaders).
-        self.executed = 0
 
     def record_request(self, method: str) -> None:
-        self.received += 1
-        self.per_method[method] = self.per_method.get(method, 0) + 1
+        self.requests.merge({"received": 1, f"per_method/{method}": 1})
 
-    def record_execution(self, delta: EngineStats) -> None:
-        """Fold one executed job's engine-stats delta in."""
-        self.executed += 1
-        if delta.misses == 0 and (delta.hits + delta.disk_hits) > 0:
-            self.cache_served += 1
-        agg = self.engine
-        agg.batches += delta.batches
-        agg.tasks += delta.tasks
-        agg.wall_seconds += delta.wall_seconds
-        agg.serialize_seconds += delta.serialize_seconds
-        agg.retries += delta.retries
-        agg.op_timeouts += delta.op_timeouts
-        agg.pool_rebuilds += delta.pool_rebuilds
-        agg.serial_fallbacks += delta.serial_fallbacks
-        agg.failures += delta.failures
-        agg.corrupt_entries += delta.corrupt_entries
-        agg.checkpoint_hits += delta.checkpoint_hits
-        for name, stats in delta.ops.items():
-            into = agg.op(name)
-            for field_name, value in stats.as_dict().items():
-                setattr(
-                    into, field_name, getattr(into, field_name) + value
-                )
-        agg.merge_context(delta.context)
-        agg.merge_solver(delta.solver)
+    def record_execution(self, outcome: "ExecutionOutcome") -> None:
+        self.executions.merge(
+            {"executed": 1, "cache_served": int(outcome.cache_served)}
+        )
+        self.engine.counters.merge(outcome.delta.counters.snapshot())
 
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of executed jobs answered entirely from the
         engine's memo/disk cache."""
-        return self.cache_served / self.executed if self.executed else 0.0
+        executed = self.executions.executed
+        return self.executions.cache_served / executed if executed else 0.0
 
     def as_dict(
         self,
@@ -80,18 +71,9 @@ class ServerMetrics:
         resilience: dict | None = None,
     ) -> dict:
         out: dict = {
-            "requests": {
-                "received": self.received,
-                "completed": self.completed,
-                "failed": self.failed,
-                "invalid": self.invalid,
-                "shed": self.shed,
-                "deadline_exceeded": self.deadline_exceeded,
-                "per_method": dict(self.per_method),
-            },
+            "requests": {"per_method": {}, **self.requests.as_dict()},
             "cache": {
-                "executed": self.executed,
-                "cache_served": self.cache_served,
+                **self.executions.as_dict(),
                 "hit_rate": self.cache_hit_rate,
                 "engine_hits": self.engine.hits,
                 "engine_disk_hits": self.engine.disk_hits,

@@ -2,10 +2,10 @@
 
 Execution substrate of the server: ``shards`` long-lived
 :class:`~repro.engine.AnalysisEngine` handles, each owning a bounded
-queue, a single dedicated executor thread, and (optionally) a process
-pool for its ops.  Jobs are routed by content fingerprint, so repeated
-content always lands on the shard whose in-memory LRU already holds it
--- the disk cache (shared, multi-process safe) backs all shards.
+queue and a single dedicated executor thread that runs its ops.
+Jobs are routed by content fingerprint, so repeated content always
+lands on the shard whose in-memory LRU already holds it -- the disk
+cache (shared, multi-process safe) backs all shards.
 
 Admission control is load-shedding, not buffering: when a shard's
 queue is full the request is rejected *immediately* with a
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..engine.core import AnalysisEngine, EngineStats
+from ..obs import Counters
 from .protocol import (
     ALL_SHARDS_DOWN,
     DEADLINE_EXCEEDED,
@@ -47,7 +48,7 @@ from .protocol import (
     RpcError,
 )
 from .qmodel import QueueModel
-from .resilience import CircuitBreaker, ResilienceStats
+from .resilience import RESILIENCE_FIELDS, CircuitBreaker
 
 if TYPE_CHECKING:  # pragma: no cover
     from .coalesce import InflightEntry
@@ -108,14 +109,10 @@ class ShardPool:
 
     Args:
         shards: Engine workers (and executor threads).
-        engine_jobs: Process-pool width per shard engine (1 = run ops
-            in the shard thread; the engine's own timeout/retry
-            machinery still applies to pooled ops).
         cache_dir: Shared disk-cache directory (multi-process safe).
         cache_bytes: Optional disk-cache size cap (oldest evicted).
         memo_size: In-memory memo entries per shard engine (0 turns
             result caching off entirely -- benchmark baselines).
-        op_timeout: Per-op wall-clock budget handed to each engine.
         queue_limit: Bounded queue depth per shard; a full queue sheds.
         qmodel: The server's queue model (arrivals/departures are
             recorded here so the self-model sees exactly the admitted
@@ -129,11 +126,9 @@ class ShardPool:
     def __init__(
         self,
         shards: int = 1,
-        engine_jobs: int = 1,
         cache_dir=None,
         cache_bytes: int | None = None,
         memo_size: int = 4096,
-        op_timeout: float | None = None,
         queue_limit: int = 64,
         qmodel: QueueModel | None = None,
         failover: bool = True,
@@ -142,15 +137,13 @@ class ShardPool:
         breaker_cooldown: float = 5.0,
     ) -> None:
         self.shards = max(1, int(shards))
-        self.engine_jobs = max(1, int(engine_jobs))
         self.cache_dir = cache_dir
         self.cache_bytes = cache_bytes
         self.memo_size = max(0, int(memo_size))
-        self.op_timeout = op_timeout
         self.queue_limit = max(1, int(queue_limit))
         self.qmodel = qmodel or QueueModel(servers=self.shards)
         self.failover = bool(failover)
-        self.resilience = ResilienceStats()
+        self.resilience = Counters(fields=RESILIENCE_FIELDS)
         self.states: list[ShardState] = [
             ShardState(
                 index=idx,
@@ -186,32 +179,26 @@ class ShardPool:
     def running(self) -> bool:
         return self._started and not self._closing
 
-    def start(self, prewarm: bool = False) -> None:
+    def start(self) -> None:
         """Build engines, queues, and worker tasks (event loop
-        required).  ``prewarm`` spins each engine's process pool up
-        before the first request."""
+        required)."""
         if self._started:
             return
         self._started = True
         now = time.monotonic()
         for idx in range(self.shards):
-            self.engines.append(self._build_engine(prewarm=prewarm))
+            self.engines.append(self._build_engine())
             self._queues.append(asyncio.Queue(maxsize=self.queue_limit))
             self._executors.append(self._build_executor(idx))
             self.states[idx].last_heartbeat = now
             self._workers.append(self._spawn_worker(idx))
 
-    def _build_engine(self, prewarm: bool = False) -> AnalysisEngine:
+    def _build_engine(self) -> AnalysisEngine:
         engine = AnalysisEngine(
-            jobs=self.engine_jobs,
-            cache_size=self.memo_size,
-            cache_dir=self.cache_dir,
-            op_timeout=self.op_timeout,
+            cache_size=self.memo_size, cache_dir=self.cache_dir
         )
         if self.cache_bytes is not None and engine._disk is not None:
             engine._disk.max_bytes = self.cache_bytes
-        if prewarm:
-            engine.prewarm()
         return engine
 
     def _build_executor(self, idx: int) -> ThreadPoolExecutor:
@@ -247,9 +234,10 @@ class ShardPool:
 
         ``abandon_executor`` swaps in a fresh executor thread, leaving
         a wedged one to finish (or never finish) unobserved;
-        ``rebuild_engine`` replaces the engine handle too -- the stuck
-        op may be wedged *inside* the engine's process pool, and a
-        fresh worker must not inherit it.
+        ``rebuild_engine`` replaces the engine handle too -- the
+        abandoned thread still holds the old engine and may yet write
+        to its memo and counters, so a fresh worker must not share
+        them.
         """
         if not self._started or self._closing:
             return
@@ -263,7 +251,7 @@ class ShardPool:
         if rebuild_engine:
             old = self.engines[idx]
             self.engines[idx] = self._build_engine()
-            self.resilience.engine_rebuilds += 1
+            self.resilience.add("engine_rebuilds")
             try:
                 old.close()
             except Exception:  # pragma: no cover - defensive
@@ -271,7 +259,7 @@ class ShardPool:
         state.inflight = None
         state.restarts += 1
         state.last_heartbeat = time.monotonic()
-        self.resilience.worker_restarts += 1
+        self.resilience.add("worker_restarts")
         self._workers[idx] = self._spawn_worker(idx)
 
     async def close(self) -> None:
@@ -310,7 +298,7 @@ class ShardPool:
                     time.monotonic() - t_arrival, 0.0
                 )
                 self.terminals += 1
-                self.resilience.shutdown_failed += 1
+                self.resilience.add("shutdown_failed")
                 self._publish(
                     entry,
                     {"event": "done", "ok": False, "shard": None},
@@ -350,7 +338,7 @@ class ShardPool:
         for step in range(1, self.shards):
             idx = (primary + step) % self.shards
             if self.states[idx].breaker.allow():
-                self.resilience.failovers += 1
+                self.resilience.add("failovers")
                 return idx, True
         return None, False
 
@@ -416,14 +404,14 @@ class ShardPool:
         if shard is None:
             outcome = self._degraded_lookup(job)
             if outcome is not None:
-                self.resilience.degraded_served += 1
+                self.resilience.add("degraded_served")
                 self._publish(
                     entry,
                     {"event": "done", "ok": True, "shard": None,
                      "degraded": True},
                 )
                 return outcome
-            self.resilience.all_shards_down += 1
+            self.resilience.add("all_shards_down")
             raise RpcError(
                 ALL_SHARDS_DOWN,
                 f"all {self.shards} shard(s) are unavailable and the "
@@ -491,13 +479,11 @@ class ShardPool:
                 value = disk.get(job.op, job.key)
             except KeyError:
                 continue
-            delta = EngineStats()
-            op_stats = delta.op(job.op)
-            op_stats.calls += 1
-            op_stats.disk_hits += 1
             return ExecutionOutcome(
                 value=value,
-                delta=delta,
+                delta=EngineStats(
+                    {f"ops/{job.op}/calls": 1, f"ops/{job.op}/disk_hits": 1}
+                ),
                 shard=-1,
                 queued_s=0.0,
                 service_s=0.0,
@@ -532,11 +518,7 @@ class ShardPool:
             max(now - inflight.t_start, 0.0),
         )
         self.terminals += 1
-        setattr(
-            self.resilience,
-            counter,
-            getattr(self.resilience, counter) + 1,
-        )
+        self.resilience.add(counter)
         self._publish(
             inflight.entry,
             {
@@ -689,9 +671,8 @@ class ShardPool:
     def _run_engine(
         self, idx: int, engine: AnalysisEngine, job: Job
     ) -> object:
-        """Thread body: one engine batch of one task; op failures
-        (including engine-level timeouts after retries) surface as
-        :class:`RpcError`."""
+        """Thread body: one engine batch of one task, run in the shard
+        thread; op failures surface as :class:`RpcError`."""
         hook = self.chaos_hook
         if hook is not None:
             hook(idx, job)

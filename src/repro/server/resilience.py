@@ -60,7 +60,7 @@ __all__ = [
     "BREAKER_OPEN",
     "BREAKER_HALF_OPEN",
     "CircuitBreaker",
-    "ResilienceStats",
+    "RESILIENCE_FIELDS",
     "RetryPolicy",
     "ShardSupervisor",
 ]
@@ -245,33 +245,19 @@ class RetryPolicy:
         return False
 
 
-@dataclass
-class ResilienceStats:
-    """Counter block for the supervision/failover machinery (owned by
-    the pool, surfaced under ``/stats`` -> ``resilience``)."""
-
-    worker_restarts: int = 0
-    worker_crashes: int = 0
-    watchdog_kills: int = 0
-    engine_rebuilds: int = 0
-    orphans_failed: int = 0
-    shutdown_failed: int = 0
-    failovers: int = 0
-    degraded_served: int = 0
-    all_shards_down: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "worker_restarts": self.worker_restarts,
-            "worker_crashes": self.worker_crashes,
-            "watchdog_kills": self.watchdog_kills,
-            "engine_rebuilds": self.engine_rebuilds,
-            "orphans_failed": self.orphans_failed,
-            "shutdown_failed": self.shutdown_failed,
-            "failovers": self.failovers,
-            "degraded_served": self.degraded_served,
-            "all_shards_down": self.all_shards_down,
-        }
+#: The supervision/failover counters (a :class:`repro.obs.Counters`
+#: owned by the pool, surfaced under ``/stats`` -> ``resilience``).
+RESILIENCE_FIELDS = (
+    "worker_restarts",
+    "worker_crashes",
+    "watchdog_kills",
+    "engine_rebuilds",
+    "orphans_failed",
+    "shutdown_failed",
+    "failovers",
+    "degraded_served",
+    "all_shards_down",
+)
 
 
 class ShardSupervisor:
@@ -289,8 +275,9 @@ class ShardSupervisor:
       ``hang_timeout``: fail its future with
       :data:`~.protocol.WATCHDOG_TIMEOUT`, *trip* the breaker,
       abandon the stuck executor thread, rebuild the shard's engine
-      (its process pool may be the thing that is wedged), and restart
-      the worker.
+      (the abandoned thread may still write to the old engine's
+      memo), and restart the worker.  This is the one owner of a hung
+      or crashed server op.
 
     ``check()`` is synchronous and idempotent so tests (and the chaos
     harness) can drive it deterministically without the timer.
@@ -355,7 +342,7 @@ class ShardSupervisor:
                 )
                 state.breaker.record_failure()
                 pool.restart_shard(idx)
-                pool.resilience.worker_crashes += 1
+                pool.resilience.add("worker_crashes")
                 pool.qmodel.note_disruption()
                 actions.append({"shard": idx, "action": "restart-dead"})
                 continue
@@ -379,7 +366,7 @@ class ShardSupervisor:
                 pool.restart_shard(
                     idx, rebuild_engine=True, abandon_executor=True
                 )
-                pool.resilience.watchdog_kills += 1
+                pool.resilience.add("watchdog_kills")
                 pool.qmodel.note_disruption()
                 actions.append({"shard": idx, "action": "watchdog-kill"})
         return actions

@@ -1,9 +1,10 @@
 """Engine ops on the same serialized system share one Context."""
 
+import threading
 from fractions import Fraction
 
 from repro.core.serialize import lis_to_json
-from repro.engine import AnalysisEngine
+from repro.engine import AnalysisEngine, register_op
 from repro.engine.ops import run_op
 from repro.gen import examples
 
@@ -38,6 +39,38 @@ def test_run_op_meta_carries_context_delta():
     _result, meta2 = run_op("ideal_mst", lis_json, None)
     assert "doubled_mg.miss" not in meta2["context"]
     assert meta2["context"]["ideal_mg.miss"] == 1
+
+
+def test_concurrent_ops_are_not_charged_for_each_other():
+    """An op's ``meta["context"]`` counts only its own work, even while
+    another op runs on a sibling thread (the server's shard threads)."""
+    entered, release = threading.Event(), threading.Event()
+
+    def blocked(ctx, options):
+        entered.set()
+        assert release.wait(timeout=30)
+        return None, {}
+
+    register_op("test_blocked", blocked, overwrite=True)
+    metas = []
+    waiter = threading.Thread(
+        target=lambda: metas.append(
+            run_op("test_blocked", lis_to_json(examples.fig1_lis()), None)[1]
+        )
+    )
+    waiter.start()
+    try:
+        assert entered.wait(timeout=30)
+        _, sized = run_op(
+            "size_queues", lis_to_json(examples.fig15_lis()), None
+        )
+    finally:
+        release.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert sized["context"]["cycles.miss"] == 1
+    assert len(metas) == 1
+    assert metas[0]["context"] == {}
 
 
 def test_table4_trial_enumerates_cycles_exactly_once():

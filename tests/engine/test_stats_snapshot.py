@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.serialize import lis_to_json
 from repro.engine import AnalysisEngine
-from repro.engine.core import EngineStats, OpStats
+from repro.engine.core import EngineStats
 from repro.gen import examples
 
 
@@ -26,13 +26,26 @@ def fig1_json():
 
 class TestOpStatsDelta:
     def test_fieldwise_subtraction(self):
-        after = OpStats(
-            calls=5, hits=3, misses=2, seconds=1.5, solver_calls=4
+        """Per-op counters subtract field by field."""
+        after = EngineStats(
+            {
+                "ops/a/calls": 5,
+                "ops/a/hits": 3,
+                "ops/a/misses": 2,
+                "ops/a/seconds": 1.5,
+                "ops/a/solver_calls": 4,
+            }
         )
-        before = OpStats(
-            calls=2, hits=1, misses=1, seconds=0.5, solver_calls=4
+        before = EngineStats(
+            {
+                "ops/a/calls": 2,
+                "ops/a/hits": 1,
+                "ops/a/misses": 1,
+                "ops/a/seconds": 0.5,
+                "ops/a/solver_calls": 4,
+            }
         )
-        diff = after.delta(before)
+        diff = after.delta(before).op("a")
         assert diff.calls == 3
         assert diff.hits == 2
         assert diff.misses == 1

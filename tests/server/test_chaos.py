@@ -70,7 +70,6 @@ class TestCampaign:
                 "retries_used": 0,
                 "kills": 0,
                 "drops": 0,
-                "pool_breaks": 0,
                 "resilience": {
                     "worker_restarts": 0,
                     "watchdog_kills": 0,

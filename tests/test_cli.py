@@ -100,6 +100,125 @@ def test_stats_command(fig1_file, tmp_path, capsys):
     assert "entries" in out
 
 
+def test_stats_command_prints_the_engine_render(tmp_path, capsys):
+    """`repro stats` and `engine.stats.render()` are one renderer."""
+    from repro.engine import AnalysisEngine
+    from repro.gen import examples
+
+    cache = tmp_path / "cache"
+    with AnalysisEngine(cache_dir=cache) as engine:
+        engine.analyze(examples.fig1_lis())
+        engine.analyze(examples.fig1_lis())
+        engine.size_queues(examples.fig15_lis(), method="exact")
+        text = engine.stats.render()
+    assert main(["stats", "--cache", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert text in out
+    assert "hit rate: 33.3%" in text
+    assert "artifact" in text and "solver counter" in text
+
+
+#: A stats.json written before the counters moved onto repro.obs
+#: (fig1 analyze x2 across two engines, fig15 exact sizing, fig1
+#: ideal_mst x2).
+OLDER_STATS_JSON = {
+    "batches": 5,
+    "checkpoint_hits": 0,
+    "context": {
+        "actual_mst.miss": 3,
+        "collapsed.miss": 1,
+        "cycles.miss": 2,
+        "doubled_mg.hit": 1,
+        "doubled_mg.miss": 5,
+        "ideal_mg.hit": 1,
+        "ideal_mg.miss": 2,
+        "ideal_mst.hit": 3,
+        "ideal_mst.miss": 2,
+    },
+    "corrupt_entries": 0,
+    "failures": 0,
+    "op_timeouts": 0,
+    "ops": {
+        "analyze": {
+            "calls": 2, "coalesced": 0, "disk_hits": 1, "failures": 0,
+            "hits": 0, "misses": 1, "seconds": 0.002081514998280909,
+            "solver_calls": 1,
+        },
+        "ideal_mst": {
+            "calls": 2, "coalesced": 0, "disk_hits": 0, "failures": 0,
+            "hits": 1, "misses": 1, "seconds": 2.6420000722282566e-05,
+            "solver_calls": 0,
+        },
+        "size_queues": {
+            "calls": 1, "coalesced": 0, "disk_hits": 0, "failures": 0,
+            "hits": 0, "misses": 1, "seconds": 0.0035043310017499607,
+            "solver_calls": 1,
+        },
+    },
+    "pool_rebuilds": 0,
+    "retries": 0,
+    "serial_fallbacks": 0,
+    "serialize_seconds": 0.00039910999839776196,
+    "solver": {
+        "batch_checks": 0,
+        "bound_cuts": 0,
+        "nodes_explored": 0,
+        "table_hits": 0,
+    },
+    "tasks": 5,
+    "wall_seconds": 0.008201986000131,
+}
+
+
+def test_stats_command_reads_and_extends_an_older_stats_json(
+    tmp_path, capsys
+):
+    from repro.engine import AnalysisEngine
+    from repro.gen import examples
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "stats.json").write_text(json.dumps(OLDER_STATS_JSON))
+    assert main(["stats", "--cache", str(cache)]) == 0
+    out = capsys.readouterr().out
+    assert "hit rate: 40.0%" in out
+    lines = out.splitlines()
+    assert any(line.split()[:3] == ["doubled_mg", "1", "5"] for line in lines)
+    assert any(line.split()[:2] == ["analyze", "2"] for line in lines)
+
+    with AnalysisEngine(cache_dir=cache) as engine:
+        engine.ideal_mst(examples.fig1_lis())
+    merged = json.loads((cache / "stats.json").read_text())
+    assert merged["tasks"] == 6
+    assert merged["ops"]["ideal_mst"]["calls"] == 3
+    assert merged["ops"]["ideal_mst"]["misses"] == 2
+    assert merged["ops"]["analyze"] == OLDER_STATS_JSON["ops"]["analyze"]
+    assert merged["context"]["doubled_mg.miss"] == 5
+    assert merged["solver"] == OLDER_STATS_JSON["solver"]
+    assert set(merged) == set(OLDER_STATS_JSON)
+
+
+def test_serve_and_chaos_have_no_engine_pool_options(capsys):
+    """Server ops run in the shard thread: the engine-pool knobs are
+    gone, and ``serve --prewarm`` still parses (hidden, ignored)."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    assert parser.parse_args(["serve", "--prewarm"]).prewarm
+    for argv in (
+        ["serve", "--engine-jobs", "2"],
+        ["serve", "--op-timeout", "5"],
+        ["chaos", "--server", "--engine-jobs", "2"],
+        ["chaos", "--server", "--break-pools", "3"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--help"])
+    assert "--prewarm" not in capsys.readouterr().out
+
+
 def test_stats_command_missing_cache_dir(tmp_path, capsys):
     assert main(["stats", "--cache", str(tmp_path / "nope")]) == 2
     err = capsys.readouterr().err
