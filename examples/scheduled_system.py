@@ -28,9 +28,9 @@ def main() -> None:
     lis = fig15_lis()
     print("== Fig. 15 under static scheduling ==")
     schedule = schedule_lis(lis, practical=True)
-    print(f"transient: {len(schedule.prefix)} cycles, "
+    print(f"transient: {schedule.transient} cycles, "
           f"hyperperiod: {schedule.hyperperiod} cycles")
-    print(f"scheduled rate of A: {schedule.rate('A')}")
+    print(f"scheduled rate of A: {schedule.throughput('A')}")
     print(f"analytic MST:        {actual_mst(lis).mst}")
 
     plan = schedule.firing_plan("A", 24)
@@ -61,7 +61,7 @@ def main() -> None:
     practical = schedule_lis(uplink_downlink_lis(), practical=True)
     print(
         "with backpressure the composition settles at rate "
-        f"{practical.rate('u0')} (the slower SCC's 2/3)"
+        f"{practical.throughput('u0')} (the slower SCC's 2/3)"
     )
 
 

@@ -96,8 +96,8 @@ from .engine import (
     solve_exact_portfolio,
 )
 from .faults import (
-    FaultSchedule,
     FaultSpec,
+    StallSchedule,
     build_schedule,
     check_invariants,
     run_campaign,
@@ -190,7 +190,6 @@ __all__ = [
     "Context",
     "EngineStats",
     "FastSimulator",
-    "FaultSchedule",
     "FaultSpec",
     "GeneratorConfig",
     "LisGraph",
@@ -206,6 +205,7 @@ __all__ = [
     "ServerConfig",
     "ShellBehavior",
     "Solver",
+    "StallSchedule",
     "StochasticSpec",
     "SystemBuilder",
     "SystemDecl",

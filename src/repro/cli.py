@@ -921,24 +921,12 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _probe_shell(lis, shell):
-    if shell is not None:
-        return shell
-    analysis = actual_mst(lis)
-    if analysis.limiting_scc:
-        shells = sorted(
-            str(n) for n in analysis.limiting_scc if not isinstance(n, tuple)
-        )
-        if shells:
-            return shells[0]
-    return lis.shells()[0]
-
-
 def _cmd_simulate_batch(args, lis, backend) -> int:
     import json as _json
     from pathlib import Path
 
     from .engine import AnalysisEngine
+    from .lis import select_probe_shell
 
     if backend not in (None, "fast"):
         print(
@@ -957,7 +945,7 @@ def _cmd_simulate_batch(args, lis, backend) -> int:
     if not assignments:
         print("error: --batch file holds no assignments", file=sys.stderr)
         return 2
-    probe = _probe_shell(lis, args.shell)
+    probe = args.shell if args.shell is not None else select_probe_shell(lis)
     lis_json = lis.lis_json
     chunk = max(1, args.chunk)
     chunks = [
@@ -1005,7 +993,7 @@ def _cmd_simulate_batch(args, lis, backend) -> int:
 
 def _cmd_simulate(args) -> int:
     from .analysis import get_context
-    from .lis import measured_throughput, resolve_backend
+    from .lis import measured_throughput, resolve_backend, select_probe_shell
 
     if args.simulator is not None:
         print(
@@ -1022,7 +1010,7 @@ def _cmd_simulate(args) -> int:
     # backend that actually ran (schedule -> fast on disconnected
     # systems).
     resolved = resolve_backend(backend or "trace", lis)
-    probe = _probe_shell(lis, args.shell)
+    probe = args.shell if args.shell is not None else select_probe_shell(lis)
     rate = measured_throughput(
         lis,
         probe,

@@ -9,35 +9,33 @@ the systems whose marked graphs are strongly connected and live -- but
 not for open systems fed by an environment with a dynamically variable
 rate (the reason the paper sticks to queue sizing).
 
-This module computes such schedules from the marked-graph model.
-Because a live marked graph under synchronous step semantics is a
-deterministic finite system, its marking sequence is eventually
-periodic; recording the firing vectors until the marking repeats
-yields a transient prefix plus a steady-state period.  Within the
+A live marked graph under synchronous step semantics is a
+deterministic finite system, so its marking sequence is eventually
+periodic: a transient prefix, then a steady-state period.  Within the
 period every transition of a strongly connected system fires the same
 number of times (the classical repetition-vector property), so the
-schedule's rate equals the MST -- the test-suite checks this against
-the analytic value.
+schedule's rate equals the MST.  Both schedules here, practical and
+ideal, are that decomposition: the
+:class:`~repro.schedule.ScheduleOracle` of :mod:`repro.schedule`,
+taken over the doubled or the ideal lowering.
 
 The derived schedule is *admissible by construction* (every scheduled
 firing was enabled in the generating run) and can drive a
 backpressure-free implementation whose per-channel buffering equals
-the peak token count observed along the period.
+the peak queue occupancy observed along the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Hashable
+from typing import TYPE_CHECKING
 
 from .lis_graph import LisGraph
-from .marked_graph import MarkedGraph
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..schedule.oracle import ScheduleOracle
 
 __all__ = [
-    "Schedule",
     "ScheduleError",
-    "periodic_schedule",
     "schedule_lis",
     "simulation_driven_sizing",
 ]
@@ -47,125 +45,36 @@ class ScheduleError(Exception):
     """Raised when no periodic schedule exists within the step budget."""
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """A static firing schedule extracted from a marked-graph run.
-
-    Attributes:
-        prefix: Firing sets of the transient, one per clock period.
-        period: Firing sets of the steady state, repeated forever.
-        peak_tokens: Place key -> maximum tokens ever observed (the
-            buffer depth a scheduled, backpressure-free implementation
-            needs on that channel segment).
-    """
-
-    prefix: tuple[frozenset, ...]
-    period: tuple[frozenset, ...]
-    peak_tokens: dict[int, int]
-
-    def firings_in_period(self, transition: Hashable) -> int:
-        return sum(1 for fired in self.period if transition in fired)
-
-    def rate(self, transition: Hashable) -> Fraction:
-        """Steady-state firing rate of ``transition``."""
-        if not self.period:
-            raise ScheduleError("empty period")
-        return Fraction(self.firings_in_period(transition), len(self.period))
-
-    def firing_word(self, transition: Hashable) -> tuple[int, ...]:
-        """One period of ``transition``'s steady-state binary firing
-        word (1 = fires that clock).  Its density is the transition's
-        exact rate; a balanced word of the same rate always exists
-        (:func:`repro.schedule.mechanical_word`), though the ASAP word
-        itself need not be balanced -- check with
-        :func:`repro.schedule.is_balanced`."""
-        return tuple(
-            1 if transition in fired else 0 for fired in self.period
-        )
-
-    @property
-    def transient(self) -> int:
-        """Clocks before the marking enters its steady-state orbit."""
-        return len(self.prefix)
-
-    def firing_plan(self, transition: Hashable, clocks: int) -> list[bool]:
-        """Whether ``transition`` fires at each of the first ``clocks``
-        cycles of the scheduled execution."""
-        plan = []
-        for t in range(clocks):
-            if t < len(self.prefix):
-                fired = self.prefix[t]
-            else:
-                fired = self.period[(t - len(self.prefix)) % len(self.period)]
-            plan.append(transition in fired)
-        return plan
-
-    @property
-    def hyperperiod(self) -> int:
-        return len(self.period)
-
-
-def periodic_schedule(mg: MarkedGraph, max_steps: int = 10_000) -> Schedule:
-    """Run step semantics until the marking repeats; split the firing
-    history into transient prefix and steady-state period.
-
-    Raises :class:`ScheduleError` when no repeat occurs within
-    ``max_steps`` (cannot happen for live bounded systems of sensible
-    size) or when the system deadlocks.
-    """
-    work = mg.copy()
-    seen: dict[tuple, int] = {}
-    history: list[frozenset] = []
-    peak: dict[int, int] = {
-        key: tokens for key, tokens in work.marking().items()
-    }
-    for step in range(max_steps):
-        state = tuple(sorted(work.marking().items()))
-        if state in seen:
-            start = seen[state]
-            return Schedule(
-                prefix=tuple(history[:start]),
-                period=tuple(history[start:]),
-                peak_tokens=peak,
-            )
-        seen[state] = step
-        fired = work.step()
-        if not fired:
-            raise ScheduleError("system deadlocked; no schedule exists")
-        history.append(frozenset(fired))
-        for key, tokens in work.marking().items():
-            if tokens > peak[key]:
-                peak[key] = tokens
-    raise ScheduleError(f"no periodic marking within {max_steps} steps")
-
-
 def schedule_lis(
     lis: LisGraph,
     practical: bool = True,
     max_steps: int = 10_000,
     extra_tokens: dict[int, int] | None = None,
-) -> Schedule:
+) -> "ScheduleOracle":
     """Schedule a LIS.
 
     With ``practical=True`` the schedule is derived from the doubled
     marked graph (finite queues as configured, plus any ``extra_tokens``
     queue-sizing assignment) -- it reproduces exactly what the
     backpressure protocol would do, so replacing the protocol with this
-    schedule is behaviour-preserving.  With ``practical=False`` the
-    ideal system (infinite queues) is scheduled; its ``peak_tokens``
-    then reveal the buffering a schedule-based, backpressure-free
+    schedule is behaviour-preserving.  This is
+    :func:`repro.schedule.derive_schedule`.  With ``practical=False``
+    the same walk runs over the ideal system (infinite queues); its
+    :meth:`~repro.schedule.ScheduleOracle.max_queue_occupancy` then
+    reveals the buffering a schedule-based, backpressure-free
     implementation needs.
     """
+    from ..schedule.oracle import _walk, derive_schedule
+    from ..sim.compile import compile_lis
+
     if practical:
-        mg = lis.doubled_marked_graph(extra_tokens)
-    else:
-        if extra_tokens:
-            raise ScheduleError(
-                "extra queue tokens are meaningless on the ideal "
-                "(infinite-queue) system"
-            )
-        mg = lis.ideal_marked_graph()
-    return periodic_schedule(mg, max_steps=max_steps)
+        return derive_schedule(lis, extra_tokens, max_steps)
+    if extra_tokens:
+        raise ScheduleError(
+            "extra queue tokens are meaningless on the ideal "
+            "(infinite-queue) system"
+        )
+    return _walk(compile_lis(lis, mg=lis.ideal_marked_graph()), None, max_steps)
 
 
 def simulation_driven_sizing(
@@ -174,27 +83,21 @@ def simulation_driven_sizing(
     """Queue sizes from an ideal-system simulation (Lu--Koh flavour).
 
     Schedules the *ideal* LIS (no backpressure) and reads off, per
-    channel, the peak token count of the final hop into the consumer
-    shell.  Setting each queue to that peak guarantees the practical
-    system never exerts backpressure along the ideal execution, so its
-    MST equals the ideal MST -- the simulation-driven counterpart of
-    the paper's analytic queue sizing, typically costlier in total
-    queue slots than the targeted token-deficit solutions.
+    channel, the peak occupancy of its queue: the final hop into the
+    consumer shell.  Setting each queue to that peak guarantees the
+    practical system never exerts backpressure along the ideal
+    execution, so its MST equals the ideal MST -- the
+    simulation-driven counterpart of the paper's analytic queue sizing,
+    typically costlier in total queue slots than the targeted
+    token-deficit solutions.
 
     Returns ``{channel id: queue capacity}`` (>= 1 each).  Raises
     :class:`ScheduleError` for systems with unbounded accumulation
     (mismatched SCC rates), where no finite sizing reproduces the
     ideal behaviour.
     """
-    schedule = schedule_lis(lis, practical=False, max_steps=max_steps)
-    mg = lis.ideal_marked_graph()
-    sizes: dict[int, int] = {}
-    for place in mg.places:
-        if place.data.get("internal"):
-            continue
-        consumer_kind = mg.graph.node_data(place.dst).get("kind")
-        if consumer_kind in ("relay", "stage"):
-            continue
-        peak = schedule.peak_tokens[place.key]
-        sizes[place.data["channel"]] = max(1, peak)
-    return sizes
+    oracle = schedule_lis(lis, practical=False, max_steps=max_steps)
+    return {
+        channel: max(1, peak)
+        for channel, peak in oracle.max_queue_occupancy().items()
+    }

@@ -6,8 +6,8 @@ backpressure glitches, relay jitter.  This package makes that promise
 falsifiable:
 
 * :mod:`repro.faults.models` -- composable, seeded fault specs
-  (:class:`FaultSpec`) compiled into per-node stall schedules
-  (:class:`FaultSchedule`) that inject uniformly into all three
+  (:class:`FaultSpec`) compiled into stall schedules
+  (:class:`StallSchedule`) that inject uniformly into all three
   simulator backends;
 * :mod:`repro.faults.harness` -- the invariant harness
   (:func:`check_invariants`): latency equivalence, token conservation,
@@ -36,8 +36,8 @@ from .campaign import (
 from .harness import BACKENDS, FaultRunReport, Violation, check_invariants
 from .models import (
     FAULT_KINDS,
-    FaultSchedule,
     FaultSpec,
+    StallSchedule,
     adversarial_stalls,
     build_schedule,
     bursty_stalls,
@@ -53,7 +53,7 @@ __all__ = [
     "BACKENDS",
     "FAULT_KINDS",
     "FaultSpec",
-    "FaultSchedule",
+    "StallSchedule",
     "FaultRunReport",
     "Violation",
     "CampaignReport",

@@ -39,8 +39,8 @@ from ..lis.protocol import ShellBehavior, Trace
 from ..lis.rtl_sim import RtlSimulator
 from ..lis.trace_sim import TraceSimulator
 from .models import (
-    FaultSchedule,
     FaultSpec,
+    StallSchedule,
     build_schedule,
     default_behaviors,
     structural_nodes,
@@ -150,7 +150,7 @@ def _simulate(
 
 def check_invariants(
     lis: LisGraph,
-    faults: FaultSchedule | FaultSpec | list[FaultSpec] | tuple,
+    faults: StallSchedule | FaultSpec | list[FaultSpec] | tuple,
     *,
     backend: str = "trace",
     behaviors: Callable[[], Mapping[Hashable, ShellBehavior]] | None = None,
@@ -165,7 +165,8 @@ def check_invariants(
 
     Args:
         lis: The system (or :class:`repro.analysis.Context`).
-        faults: A :class:`FaultSchedule`, or spec(s) compiled here.
+        faults: A :class:`StallSchedule` (its trial 0 is run), or
+            spec(s) compiled here.
         backend: ``trace`` / ``rtl`` / ``fast``; the unfaulted
             reference is always the marked-graph ``trace`` backend, so
             a cross-backend discrepancy is itself caught.
@@ -186,13 +187,13 @@ def check_invariants(
             comparison to be meaningful; fewer raises ``ValueError``
             (lengthen ``measure`` instead of silently passing).
     """
-    if isinstance(faults, FaultSchedule):
+    if isinstance(faults, StallSchedule):
         schedule = faults
     else:
         schedule = build_schedule(lis, faults)
     extra = {int(c): int(x) for c, x in (extra_tokens or {}).items()}
 
-    horizon = schedule.horizon
+    horizon = schedule.clocks
     if settle is None:
         settle = horizon + 4 * len(structural_nodes(lis)) + 16
     skip = horizon + settle
@@ -213,7 +214,7 @@ def check_invariants(
         "trace", lis, behavior_factory(), extra, None, clocks
     )
     faulted, occupancy = _simulate(
-        backend, lis, behavior_factory(), extra, schedule.gate(), clocks
+        backend, lis, behavior_factory(), extra, schedule.gate(0), clocks
     )
 
     violations: list[Violation] = []

@@ -28,32 +28,36 @@ kind                         interpretation
 ============================ ==========================================
 
 A :class:`FaultSpec` is a frozen, JSON-able description; compiling one
-or more against a concrete system yields a :class:`FaultSchedule`
-whose :meth:`~FaultSchedule.gate` plugs into all three simulators
-(``TraceSimulator``/``RtlSimulator`` ``faults=`` and ``FastSimulator``)
-and whose :meth:`~FaultSchedule.mask` feeds the vectorized kernel
-directly.  Schedules are finite (``horizon`` clocks): after the last
-injected stall the system must recover, which is what makes the
-invariant harness's throughput check decidable.
+or more against a concrete system yields a one-trial
+:class:`StallSchedule` (the type :mod:`repro.stochastic` samples into
+as well) whose :meth:`~StallSchedule.gate` plugs into all three
+simulators (``faults=`` of ``TraceSimulator``, ``RtlSimulator`` and
+``FastSimulator``) and whose :meth:`~StallSchedule.mask` feeds the
+vectorized kernel directly.  Schedules are finite (``clocks``, the
+longest spec horizon): after the last injected stall the system must
+recover, which is what makes the invariant harness's throughput check
+decidable.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 from ..core.lis_graph import LisGraph
 from ..core.naming import sink_shells, source_shells, structural_nodes
 from ..lis.protocol import ShellBehavior
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..sim.compile import CompiledSystem
 
 __all__ = [
     "FAULT_KINDS",
     "FaultSpec",
-    "FaultSchedule",
+    "StallSchedule",
     "build_schedule",
     "structural_nodes",
     "source_shells",
@@ -290,72 +294,103 @@ def _component_stalls(
 
 
 @dataclass(frozen=True)
-class FaultSchedule:
-    """One or more compiled fault specs: per-node stall clock sets.
+class StallSchedule:
+    """Compiled stall specs: which node may not fire at which clock.
 
-    Build with :func:`build_schedule`; inject with :meth:`gate`
-    (callable backends) or :meth:`mask` (vectorized kernel).
+    The one stall schedule of the package.  :func:`build_schedule`
+    compiles fault specs into a one-trial schedule;
+    :func:`repro.stochastic.compile_stochastic` samples stochastic
+    specs into ``trials`` independent draws.  ``stalled`` has shape
+    ``(clocks, trials, len(nodes))``; ``stalled[t, k, j]`` gates
+    ``nodes[j]`` at clock ``t`` of trial ``k``, and every clock from
+    ``clocks`` on is quiet.  :meth:`mask` (vectorized kernel) and
+    :meth:`gate` (callable backends) are views of that one array, so
+    every backend sees the identical stall pattern.
     """
 
-    specs: tuple[FaultSpec, ...]
-    stalls: Mapping[Hashable, frozenset[int]]
-    horizon: int
-
-    def stalled(self, node: Hashable, clock: int) -> bool:
-        """True when ``node`` must be clock-gated at ``clock``."""
-        if clock >= self.horizon:
-            return False
-        clocks = self.stalls.get(node)
-        return clocks is not None and clock in clocks
-
-    def gate(self):
-        """The fault gate for the reference simulators (``faults=``)."""
-        return self.stalled
-
-    def mask(self, compiled: "CompiledSystem", clocks: int):
-        """A ``(clocks, n_nodes)`` boolean stall mask for
-        :func:`repro.sim.kernel.step_batch` / ``BatchSimulator.run``."""
-        import numpy as np
-
-        out = np.zeros((clocks, compiled.n_nodes), dtype=bool)
-        index = compiled.node_index
-        for node, stall_clocks in self.stalls.items():
-            i = index.get(node)
-            if i is None:
-                continue
-            for t in stall_clocks:
-                if t < clocks:
-                    out[t, i] = True
-        return out
+    specs: tuple
+    nodes: tuple[Hashable, ...]
+    clocks: int
+    trials: int
+    stalled: "np.ndarray"
 
     @property
     def total_stalls(self) -> int:
-        return sum(len(clocks) for clocks in self.stalls.values())
+        return int(self.stalled.sum())
+
+    @property
+    def stall_fraction(self) -> float:
+        """Observed fraction of stalled (node, clock, trial) slots."""
+        return float(self.stalled.mean()) if self.stalled.size else 0.0
+
+    def mask(
+        self, compiled: "CompiledSystem", assignments: int = 1
+    ) -> "np.ndarray":
+        """The ``(clocks, B, n_nodes)`` stall mask for
+        ``BatchSimulator.run`` with ``B = assignments * trials``
+        configurations (trials innermost, the same trial samples
+        repeated for every assignment -- common random numbers, so
+        per-assignment curves are directly comparable)."""
+        import numpy as np
+
+        out = np.zeros(
+            (self.clocks, self.trials, compiled.n_nodes), dtype=bool
+        )
+        index = compiled.node_index
+        for j, node in enumerate(self.nodes):
+            i = index.get(node)
+            if i is not None:
+                out[:, :, i] = self.stalled[:, :, j]
+        if assignments == 1:
+            return out
+        return np.tile(out, (1, assignments, 1))
+
+    def gate(self, trial: int = 0):
+        """Trial ``trial``'s fault gate ``(node, clock) -> bool`` for
+        the simulators' ``faults=`` argument."""
+        if not 0 <= trial < self.trials:
+            raise IndexError(f"trial {trial} out of range")
+        column = {node: j for j, node in enumerate(self.nodes)}
+        rows = self.stalled[:, trial, :].tolist()
+        clocks = self.clocks
+
+        def _gate(node: Hashable, clock: int) -> bool:
+            j = column.get(node)
+            return j is not None and clock < clocks and rows[clock][j]
+
+        return _gate
 
     def as_dicts(self) -> list[dict]:
-        """The generating specs, JSON-able (for engine options)."""
+        """The generating specs, JSON-able (engine op options)."""
         return [spec.as_dict() for spec in self.specs]
 
 
 def build_schedule(
     lis: LisGraph,
     specs: FaultSpec | Iterable[FaultSpec],
-) -> FaultSchedule:
+) -> StallSchedule:
     """Compile fault specs against a concrete system (or
-    :class:`repro.analysis.Context`): the union of every component's
-    stalls.  Deterministic in (system, specs)."""
+    :class:`repro.analysis.Context`): one trial, the union of every
+    component's stalls, over the longest spec horizon.  Deterministic
+    in (system, specs)."""
+    import numpy as np
+
     if isinstance(specs, FaultSpec):
         specs = (specs,)
     specs = tuple(specs)
-    merged: dict[Hashable, set[int]] = {}
+    nodes = tuple(structural_nodes(lis))
+    ordinal = {node: j for j, node in enumerate(nodes)}
+    horizon = max((spec.horizon for spec in specs), default=0)
+    stalled = np.zeros((horizon, 1, len(nodes)), dtype=bool)
     for spec in specs:
         for node, clocks in _component_stalls(lis, spec).items():
-            merged.setdefault(node, set()).update(clocks)
-    horizon = max((spec.horizon for spec in specs), default=0)
-    return FaultSchedule(
+            stalled[list(clocks), 0, ordinal[node]] = True
+    return StallSchedule(
         specs=specs,
-        stalls={node: frozenset(c) for node, c in merged.items()},
-        horizon=horizon,
+        nodes=nodes,
+        clocks=horizon,
+        trials=1,
+        stalled=stalled,
     )
 
 

@@ -107,22 +107,21 @@ def select_probe_shell(
     """The shell whose rate cross-validation probes.
 
     Prefers a *shell* on the limiting critical cycle (its rate is
-    pinned to the MST even before the rest of the system settles);
-    relay stations are filtered out because they are implementation
-    detail, not system nodes.  When the limiting SCC consists solely of
-    relay stations -- possible on heavily pipelined degenerate cycles
-    -- the first SCC member is probed; with no limiting SCC at all
-    (MST = 1) any shell does.
+    pinned to the MST even before the rest of the system settles):
+    the first member of the limiting SCC, in ``repr`` order, that is a
+    node of ``lis.system`` -- relay stations and pipeline stages are
+    implementation detail, not system nodes.  When the limiting SCC
+    holds no shell -- possible on heavily pipelined degenerate cycles
+    -- its first member in ``repr`` order is probed; with no limiting
+    SCC at all (MST = 1) any shell does.  The choice never depends on
+    set iteration order, so results keyed by content are the same in
+    every process.
     """
     if analysis is None:
         analysis = actual_mst(lis, extra_tokens)
     if analysis.limiting_scc:
-        candidates = [
-            node
-            for node in analysis.limiting_scc
-            if not (isinstance(node, tuple) and node and node[0] == "rs")
-        ]
-        return candidates[0] if candidates else next(iter(analysis.limiting_scc))
+        members = sorted(analysis.limiting_scc, key=repr)
+        return next((n for n in members if n in lis.system), members[0])
     return lis.shells()[0]
 
 

@@ -44,12 +44,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 import numpy as np
 
 from ..core.lis_graph import LisGraph
 from ..core.scheduling import ScheduleError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..sim.compile import CompiledSystem
 
 __all__ = ["ScheduleOracle", "derive_schedule", "derive_schedule_reference"]
 
@@ -180,11 +183,7 @@ class ScheduleOracle:
             for level, count in sorted(counts.items())
         }
 
-    @property
-    def warmup_needed(self) -> int:
-        """Clocks a finite-horizon measurement must discard to observe
-        pure steady state (the transient latency)."""
-        return self.transient
+
 
 
 def derive_schedule(
@@ -211,7 +210,17 @@ def derive_schedule(
     """
     from ..sim.compile import compile_lis
 
-    compiled = compile_lis(lis)
+    return _walk(compile_lis(lis), extra_tokens, max_steps)
+
+
+def _walk(
+    compiled: "CompiledSystem",
+    extra_tokens: dict[int, int] | None,
+    max_steps: int,
+) -> ScheduleOracle:
+    """The marking walk over any compiled lowering: the doubled graph
+    here, the ideal graph for
+    :func:`repro.core.scheduling.schedule_lis` ``(practical=False)``."""
     extra = {int(c): int(x) for c, x in (extra_tokens or {}).items()}
     tokens = compiled.initial_tokens([extra])
     starts = compiled.group_starts
@@ -225,12 +234,10 @@ def derive_schedule(
     seen: dict[bytes, int] = {}
     fired_hist: list[np.ndarray] = []
     occ_hist: list[np.ndarray] = []
-    peak = tokens[0, occ_cols].copy()
-    start = -1
+    occ0 = tokens[0, occ_cols]
     for step in range(max_steps + 1):
         key = tokens.tobytes()
         if key in seen:
-            start = seen[key]
             break
         seen[key] = step
         if grouped:
@@ -239,41 +246,17 @@ def derive_schedule(
         tokens += fired[:, src]
         tokens -= fired[:, dst]
         fired_hist.append(fired[0] != 0)
-        occ = tokens[0, occ_cols].copy()
-        occ_hist.append(occ)
-        np.maximum(peak, occ, out=peak)
-    if start < 0:
-        raise ScheduleError(
-            f"no periodic marking within {max_steps} steps; is the "
-            f"system weakly connected?"
-        )
-
-    n = compiled.n_nodes
-    prefix_fired = (
-        np.array(fired_hist[:start], dtype=bool)
-        if start
-        else np.zeros((0, n), dtype=bool)
-    )
-    period_fired = np.array(fired_hist[start:], dtype=bool)
-    period_occupancy = (
-        np.array(occ_hist[start:], dtype=np.int64)
-        if occ_cols.size
-        else np.zeros((len(fired_hist) - start, 0), dtype=np.int64)
-    )
-    return ScheduleOracle(
-        node_names=compiled.node_names,
-        node_index=dict(compiled.node_index),
-        is_shell=compiled.is_shell,
-        transient=start,
-        hyperperiod=len(fired_hist) - start,
-        prefix_fired=prefix_fired,
-        period_fired=period_fired,
-        period_occupancy=period_occupancy,
-        occ_channels=compiled.occ_channels,
-        peak_occupancy={
-            channel: int(peak[k])
-            for k, channel in enumerate(compiled.occ_channels)
-        },
+        occ_hist.append(tokens[0, occ_cols])
+    else:
+        raise ScheduleError(f"no periodic marking within {max_steps} steps")
+    return _oracle(
+        compiled.node_names,
+        compiled.is_shell,
+        compiled.occ_channels,
+        seen[key],
+        fired_hist,
+        occ_hist,
+        occ0,
     )
 
 
@@ -314,45 +297,57 @@ def derive_schedule_reference(
     seen: dict[tuple, int] = {}
     fired_hist: list[list[bool]] = []
     occ_hist: list[list[int]] = []
-    peak = [marking[key] for key, _ in occ_places]
-    start = -1
+    occ0 = [marking[key] for key, _ in occ_places]
     for step in range(max_steps + 1):
         state = tuple(sorted(marking.items()))
         if state in seen:
-            start = seen[state]
             break
         seen[state] = step
         fired = mg.step()
         marking = mg.marking()
         fired_hist.append([name in fired for name in node_names])
-        occ = [marking[key] for key, _ in occ_places]
-        occ_hist.append(occ)
-        peak = [max(p, v) for p, v in zip(peak, occ)]
-    if start < 0:
-        raise ScheduleError(
-            f"no periodic marking within {max_steps} steps; is the "
-            f"system weakly connected?"
-        )
+        occ_hist.append([marking[key] for key, _ in occ_places])
+    else:
+        raise ScheduleError(f"no periodic marking within {max_steps} steps")
+    return _oracle(
+        node_names,
+        is_shell,
+        occ_channels,
+        seen[state],
+        fired_hist,
+        occ_hist,
+        occ0,
+    )
 
-    n = len(node_names)
+
+def _oracle(
+    node_names: tuple[Hashable, ...],
+    is_shell: tuple[bool, ...],
+    occ_channels: tuple[int, ...],
+    start: int,
+    fired_hist: list,
+    occ_hist: list,
+    occ0,
+) -> ScheduleOracle:
+    """Split a walk's history at ``start``, the step whose marking
+    repeated: the rows before it are the transient, the rest one
+    period.  ``occ0`` is the initial occupancy, which counts towards
+    the peaks."""
+    steps = len(fired_hist)
+    fired = np.array(fired_hist, dtype=bool).reshape(steps, len(node_names))
+    occ = np.array(occ_hist, dtype=np.int64).reshape(steps, len(occ_channels))
+    peak = np.vstack((occ0, occ)).max(axis=0)
     return ScheduleOracle(
         node_names=node_names,
-        node_index=node_index,
+        node_index={name: i for i, name in enumerate(node_names)},
         is_shell=is_shell,
         transient=start,
-        hyperperiod=len(fired_hist) - start,
-        prefix_fired=(
-            np.array(fired_hist[:start], dtype=bool)
-            if start
-            else np.zeros((0, n), dtype=bool)
-        ),
-        period_fired=np.array(fired_hist[start:], dtype=bool),
-        period_occupancy=np.array(
-            occ_hist[start:], dtype=np.int64
-        ).reshape(len(fired_hist) - start, len(occ_places)),
+        hyperperiod=steps - start,
+        prefix_fired=fired[:start],
+        period_fired=fired[start:],
+        period_occupancy=occ[start:],
         occ_channels=occ_channels,
         peak_occupancy={
-            channel: int(peak[k])
-            for k, channel in enumerate(occ_channels)
+            channel: int(level) for channel, level in zip(occ_channels, peak)
         },
     )

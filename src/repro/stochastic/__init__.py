@@ -3,8 +3,8 @@
 The package splits into four layers, bottom up:
 
 * :mod:`~repro.stochastic.spec` -- seeded stochastic stall/service
-  processes (:class:`StochasticSpec`) compiling to per-trial stall
-  schedules over the fault primitive;
+  processes (:class:`StochasticSpec`) sampled into per-trial
+  :class:`~repro.faults.StallSchedule` draws over the fault primitive;
 * :mod:`~repro.stochastic.montecarlo` -- the vectorized Monte-Carlo
   estimator (trials as the batch axis) with order-statistic
   confidence intervals;
@@ -27,7 +27,6 @@ from .montecarlo import (
 from .spec import (
     KINDS,
     SCOPES,
-    StochasticSchedule,
     StochasticSpec,
     arrival_envelope,
     bernoulli_stalls,
@@ -48,7 +47,6 @@ __all__ = [
     "KINDS",
     "SCOPES",
     "MonteCarloResult",
-    "StochasticSchedule",
     "StochasticSpec",
     "TailCurve",
     "TailCurvePoint",

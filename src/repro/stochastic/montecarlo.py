@@ -1,7 +1,7 @@
 """Vectorized Monte-Carlo estimation over stochastic LIS executions.
 
 One compile, hundreds of trials: :func:`run_monte_carlo` samples a
-:class:`~repro.stochastic.spec.StochasticSchedule` and pushes every
+:class:`~repro.faults.StallSchedule` and pushes every
 trial through :class:`repro.sim.BatchSimulator`'s compiled arrays in a
 single batched run -- trials are the batch axis, so the per-trial cost
 is one row of the vectorized kernel step, not a fresh simulation.
@@ -40,8 +40,9 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..core.lis_graph import LisGraph
+from ..faults.models import StallSchedule
 from ..sim.batch import BatchSimulator
-from .spec import StochasticSchedule, StochasticSpec, compile_stochastic
+from .spec import StochasticSpec, compile_stochastic
 
 __all__ = [
     "MonteCarloResult",
@@ -258,7 +259,7 @@ def run_monte_carlo_batch(
     assignments: Sequence[Mapping[int, int]] | None = None,
     node: Hashable | None = None,
     work: int | None = None,
-    schedule: StochasticSchedule | None = None,
+    schedule: StallSchedule | None = None,
 ) -> list[MonteCarloResult]:
     """Monte-Carlo estimates for several queue-sizing assignments in
     one batched run (one result per assignment, in order).
@@ -333,7 +334,7 @@ def run_monte_carlo(
     extra_tokens: Mapping[int, int] | None = None,
     node: Hashable | None = None,
     work: int | None = None,
-    schedule: StochasticSchedule | None = None,
+    schedule: StallSchedule | None = None,
 ) -> MonteCarloResult:
     """The single-assignment front of :func:`run_monte_carlo_batch`."""
     return run_monte_carlo_batch(

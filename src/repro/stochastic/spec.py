@@ -44,11 +44,12 @@ Sampling is NumPy-vectorized across Monte-Carlo trials and fully
 deterministic in ``(spec contents, clocks, trials)``: the PCG64 stream
 is seeded from a SHA-256 digest of the canonical spec JSON, so masks
 are stable cache keys across runs and platforms.  Compiling specs
-yields a :class:`StochasticSchedule` whose :meth:`~StochasticSchedule.mask`
-feeds ``BatchSimulator`` (trials as the batch axis) and whose
-:meth:`~StochasticSchedule.gate` plugs one trial into the reference
-simulators -- both views are slices of the *same* sampled array, so
-cross-backend runs are bit-for-bit comparable.
+yields a :class:`~repro.faults.StallSchedule` with one draw per trial,
+the same type fault specs compile to: its ``mask`` feeds
+``BatchSimulator`` (trials as the batch axis) and its ``gate`` plugs
+one trial into the reference simulators -- both views are slices of
+the *same* sampled array, so cross-backend runs are bit-for-bit
+comparable.
 """
 
 from __future__ import annotations
@@ -56,21 +57,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
 from ..core.lis_graph import LisGraph
 from ..core.naming import sink_shells, source_shells, structural_nodes
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.compile import CompiledSystem
+from ..faults.models import StallSchedule
 
 __all__ = [
     "KINDS",
     "SCOPES",
     "StochasticSpec",
-    "StochasticSchedule",
     "arrival_envelope",
     "bernoulli_stalls",
     "burst_stalls",
@@ -301,84 +299,12 @@ def _sample_processes(
     return out
 
 
-@dataclass(frozen=True)
-class StochasticSchedule:
-    """Compiled stochastic specs: per-trial stall samples over a
-    horizon, ready for both the vectorized and reference backends.
-
-    Build with :func:`compile_stochastic`.  ``stalled`` has shape
-    ``(clocks, trials, len(nodes))`` and is the single source of truth
-    both :meth:`mask` (fast backend) and :meth:`gate` (trace/rtl) view,
-    so the backends see bit-for-bit identical stall patterns.
-    """
-
-    specs: tuple[StochasticSpec, ...]
-    nodes: tuple[Hashable, ...]
-    clocks: int
-    trials: int
-    stalled: np.ndarray
-
-    @property
-    def total_stalls(self) -> int:
-        return int(self.stalled.sum())
-
-    @property
-    def stall_fraction(self) -> float:
-        """Observed fraction of stalled (node, clock, trial) slots."""
-        return float(self.stalled.mean()) if self.stalled.size else 0.0
-
-    def is_deterministic(self) -> bool:
-        """True when every component spec has zero variance -- all
-        trials then carry the identical stall pattern."""
-        return all(spec.is_deterministic() for spec in self.specs)
-
-    def mask(
-        self, compiled: "CompiledSystem", assignments: int = 1
-    ) -> np.ndarray:
-        """The ``(clocks, B, n_nodes)`` stall mask for
-        ``BatchSimulator.run`` with ``B = assignments * trials``
-        configurations (trials innermost, the same trial samples
-        repeated for every assignment -- common random numbers, so
-        per-assignment curves are directly comparable)."""
-        out = np.zeros(
-            (self.clocks, self.trials, compiled.n_nodes), dtype=bool
-        )
-        index = compiled.node_index
-        for j, node in enumerate(self.nodes):
-            i = index.get(node)
-            if i is not None:
-                out[:, :, i] = self.stalled[:, :, j]
-        if assignments == 1:
-            return out
-        return np.tile(out, (1, assignments, 1))
-
-    def gate(self, trial: int):
-        """Trial ``trial``'s fault gate ``(node, clock) -> bool`` for
-        the reference simulators (``faults=``)."""
-        if not 0 <= trial < self.trials:
-            raise IndexError(f"trial {trial} out of range")
-        column = {node: j for j, node in enumerate(self.nodes)}
-        stalled = self.stalled
-
-        def _gate(node: Hashable, clock: int) -> bool:
-            j = column.get(node)
-            if j is None or clock >= self.clocks:
-                return False
-            return bool(stalled[clock, trial, j])
-
-        return _gate
-
-    def as_dicts(self) -> list[dict]:
-        """The generating specs, JSON-able (engine op options)."""
-        return [spec.as_dict() for spec in self.specs]
-
-
 def compile_stochastic(
     lis: LisGraph,
     specs: StochasticSpec | Iterable[StochasticSpec],
     clocks: int,
     trials: int = 1,
-) -> StochasticSchedule:
+) -> StallSchedule:
     """Sample ``trials`` independent stall draws of ``specs`` against a
     concrete system (or :class:`repro.analysis.Context`).
 
@@ -407,7 +333,7 @@ def compile_stochastic(
             drawn = _sample_processes(spec, clocks, trials, len(targets))
             for j, node in enumerate(targets):
                 stalled[:, :, ordinal[node]] |= drawn[:, :, j]
-    return StochasticSchedule(
+    return StallSchedule(
         specs=specs,
         nodes=nodes,
         clocks=clocks,

@@ -7,33 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import LisGraph, actual_mst, ideal_mst
-from repro.core.marked_graph import MarkedGraph
 from repro.core.scheduling import (
-    Schedule,
     ScheduleError,
-    periodic_schedule,
     schedule_lis,
     simulation_driven_sizing,
 )
-from repro.gen import fig1_lis, fig15_lis, ring_lis, uplink_downlink_lis
-
-
-def test_periodic_schedule_of_simple_ring():
-    mg = MarkedGraph()
-    for i in range(3):
-        mg.add_place(i, (i + 1) % 3, tokens=1 if i != 1 else 0)
-    schedule = periodic_schedule(mg)  # ring with mean 2/3
-    assert schedule.rate(0) == Fraction(2, 3)
-    assert schedule.rate(1) == Fraction(2, 3)
-    assert schedule.hyperperiod >= 1
-
-
-def test_schedule_of_deadlocked_system_raises():
-    mg = MarkedGraph()
-    mg.add_place("a", "b", tokens=0)
-    mg.add_place("b", "a", tokens=0)
-    with pytest.raises(ScheduleError):
-        periodic_schedule(mg)
+from repro.gen import (
+    fig1_lis,
+    fig15_lis,
+    named_system,
+    ring_lis,
+    uplink_downlink_lis,
+)
+from repro.lis import TraceSimulator
+from tests.strategies import lis_graphs
 
 
 def test_schedule_budget_exhaustion_raises():
@@ -48,19 +35,17 @@ def test_practical_schedule_rate_equals_practical_mst():
         schedule = schedule_lis(lis, practical=True)
         expected = actual_mst(lis).mst
         probe = lis.shells()[0]
-        assert schedule.rate(probe) == expected
+        assert schedule.throughput(probe) == expected
 
 
 def test_ideal_schedule_rate_equals_ideal_mst():
     lis = fig15_lis()
     schedule = schedule_lis(lis, practical=False)
-    assert schedule.rate("A") == ideal_mst(lis).mst == Fraction(5, 6)
+    assert schedule.throughput("A") == ideal_mst(lis).mst == Fraction(5, 6)
 
 
 def test_schedule_matches_simulator_firings():
     """The schedule replays exactly the simulator's firing pattern."""
-    from repro.lis import TraceSimulator
-
     lis = fig1_lis()
     schedule = schedule_lis(lis, practical=True)
     sim = TraceSimulator(lis)
@@ -69,52 +54,13 @@ def test_schedule_matches_simulator_firings():
         assert schedule.firing_plan(shell, 30) == sim.trace.fired[shell]
 
 
-def test_firing_plan_wraps_period():
-    schedule = Schedule(
-        prefix=(frozenset({"x"}),),
-        period=(frozenset(), frozenset({"x"})),
-        peak_tokens={},
-    )
-    assert schedule.firing_plan("x", 6) == [
-        True,  # prefix
-        False,
-        True,
-        False,
-        True,
-        False,
-    ]
-    assert schedule.firings_in_period("x") == 1
-    assert schedule.rate("x") == Fraction(1, 2)
-
-
-def test_rate_of_empty_period_raises():
-    schedule = Schedule(prefix=(), period=(), peak_tokens={})
-    with pytest.raises(ScheduleError):
-        schedule.rate("x")
-
-
-def test_firing_word_and_transient():
-    schedule = Schedule(
-        prefix=(frozenset({"x"}),),
-        period=(frozenset(), frozenset({"x"})),
-        peak_tokens={},
-    )
-    assert schedule.transient == 1
-    assert schedule.firing_word("x") == (0, 1)
-    assert schedule.firing_word("absent") == (0, 0)
-    # Density of the word is the rate; word tools accept it directly.
-    from repro.schedule.words import word_rate
-
-    assert word_rate(schedule.firing_word("x")) == schedule.rate("x")
-
-
 def test_schedule_lis_with_extra_tokens_matches_sized_mst():
     from repro.core import size_queues
 
     lis = fig15_lis()
     fix = size_queues(lis, method="exact").extra_tokens
     schedule = schedule_lis(lis, practical=True, extra_tokens=fix)
-    assert schedule.rate("A") == actual_mst(lis, fix).mst == Fraction(5, 6)
+    assert schedule.throughput("A") == actual_mst(lis, fix).mst == Fraction(5, 6)
 
 
 def test_schedule_lis_rejects_extra_tokens_on_ideal_system():
@@ -123,13 +69,13 @@ def test_schedule_lis_rejects_extra_tokens_on_ideal_system():
 
 
 def test_schedule_words_agree_with_oracle():
-    """The pure-Python schedule and the compiled oracle recover the
+    """The pure-Python reference and the compiled schedule recover the
     same steady-state words and transient."""
-    from repro.schedule import derive_schedule
+    from repro.schedule import derive_schedule_reference
 
     lis = fig15_lis()
     schedule = schedule_lis(lis, practical=True)
-    oracle = derive_schedule(lis)
+    oracle = derive_schedule_reference(lis)
     assert schedule.transient == oracle.transient
     assert schedule.hyperperiod == oracle.hyperperiod
     for shell in lis.shells():
@@ -144,17 +90,32 @@ def test_simulation_driven_sizing_restores_fig1():
         sized.set_queue(cid, q)
     assert actual_mst(sized).mst == ideal_mst(lis).mst == 1
     # The lower channel needs the extra slot; the upper does not.
-    assert sizes[1] == 2
-    assert sizes[0] == 1
+    assert sizes == {0: 1, 1: 2}
 
 
 def test_simulation_driven_sizing_restores_fig15():
     lis = fig15_lis()
     sizes = simulation_driven_sizing(lis)
+    assert sizes == {cid: 1 for cid in lis.channel_ids()} | {5: 2, 6: 2}
     sized = lis.copy()
     for cid, q in sizes.items():
         sized.set_queue(cid, q)
     assert actual_mst(sized).mst == Fraction(5, 6)
+
+
+def test_simulation_driven_sizing_restores_fig19():
+    lis = named_system("fig19")
+    sizes = simulation_driven_sizing(lis)
+    assert sizes == {cid: 1 for cid in lis.channel_ids()} | {
+        11: 3,
+        12: 2,
+        24: 2,
+        25: 2,
+    }
+    sized = lis.copy()
+    for cid, q in sizes.items():
+        sized.set_queue(cid, q)
+    assert actual_mst(sized).mst == ideal_mst(lis).mst
 
 
 def test_simulation_driven_sizing_cost_vs_analytic():
@@ -182,7 +143,7 @@ def test_simulation_driven_sizing_unbounded_raises():
 def test_scheduled_rate_matches_mst_on_rings(n, relays):
     lis = ring_lis(n, relays)
     schedule = schedule_lis(lis, practical=True)
-    assert schedule.rate("s0") == actual_mst(lis).mst
+    assert schedule.throughput("s0") == actual_mst(lis).mst
 
 
 @given(
@@ -199,3 +160,38 @@ def test_simulation_driven_sizing_always_restores_two_path(upper, lower):
     for cid, q in sizes.items():
         sized.set_queue(cid, q)
     assert actual_mst(sized).mst == ideal_mst(lis).mst
+
+
+def assert_ideal_schedule_matches_unbounded_simulator(lis):
+    """The ideal schedule replays the unbounded (no backpressure)
+    simulator: every node's firings, and every queue's peak."""
+    oracle = schedule_lis(lis, practical=False)
+    clocks = oracle.transient + 2 * oracle.hyperperiod
+    sim = TraceSimulator(lis, bounded=False)
+    sim.run(clocks)
+    for node in oracle.node_names:
+        assert oracle.firing_plan(node, clocks) == sim.trace.fired[node], node
+    assert oracle.max_queue_occupancy() == sim.max_queue_occupancy()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        fig1_lis,
+        fig15_lis,
+        lambda: ring_lis(5, relays=3),
+        lambda: named_system("fig19"),
+    ],
+    ids=["fig1", "fig15", "ring5-r3", "fig19"],
+)
+def test_ideal_schedule_matches_unbounded_simulator(make):
+    assert_ideal_schedule_matches_unbounded_simulator(make())
+
+
+@given(lis=lis_graphs())
+@settings(max_examples=40, deadline=None)
+def test_ideal_schedule_matches_unbounded_simulator_property(lis):
+    try:
+        assert_ideal_schedule_matches_unbounded_simulator(lis)
+    except ScheduleError:
+        pass  # rate-mismatched SCCs: unbounded, no schedule exists

@@ -75,7 +75,7 @@ def test_no_token_loss_beyond_the_injected_stalls(system, specs):
     token counts)."""
     lis, make_behaviors = system
     schedule = build_schedule(lis, specs)
-    clocks = schedule.horizon + 120
+    clocks = schedule.clocks + 120
     reference = TraceSimulator(lis, make_behaviors()).run(clocks)
     faulted = TraceSimulator(
         lis, make_behaviors(), faults=schedule.gate()
@@ -84,7 +84,7 @@ def test_no_token_loss_beyond_the_injected_stalls(system, specs):
         ref = len(valid_stream(reference, shell))
         got = len(valid_stream(faulted, shell))
         assert got <= ref
-        assert ref - got <= schedule.total_stalls + schedule.horizon
+        assert ref - got <= schedule.total_stalls + schedule.clocks
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

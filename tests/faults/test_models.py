@@ -1,5 +1,6 @@
 """Unit tests for the fault specs and compiled schedules."""
 
+import numpy as np
 import pytest
 
 from repro.core import LisGraph
@@ -27,6 +28,15 @@ def chain_lis():
     lis.add_channel("src", "mid", relays=1)  # 0
     lis.add_channel("mid", "dst")  # 1
     return lis
+
+
+def stalled_nodes(schedule):
+    """The nodes a schedule stalls at least once."""
+    return {
+        node
+        for j, node in enumerate(schedule.nodes)
+        if schedule.stalled[:, :, j].any()
+    }
 
 
 def test_spec_round_trips_through_json_dict():
@@ -76,35 +86,40 @@ def test_build_schedule_is_deterministic():
     specs = [random_stalls(seed=11), bursty_stalls(seed=3)]
     a = build_schedule(lis, specs)
     b = build_schedule(lis, specs)
-    assert a.stalls == b.stalls
-    assert a.horizon == b.horizon == 48
+    assert a.nodes == b.nodes == tuple(structural_nodes(lis))
+    assert np.array_equal(a.stalled, b.stalled)
+    assert a.clocks == b.clocks == 48
+    assert a.trials == 1
+    assert a.stalled.shape == (48, 1, len(a.nodes))
     assert a.total_stalls > 0
     # A different seed draws a different schedule.
     c = build_schedule(lis, [random_stalls(seed=12)])
-    assert c.stalls != build_schedule(lis, [random_stalls(seed=11)]).stalls
+    d = build_schedule(lis, [random_stalls(seed=11)])
+    assert not np.array_equal(c.stalled, d.stalled)
 
 
 def test_schedule_quiet_after_horizon():
     schedule = build_schedule(fig15_lis(), random_stalls(seed=1, horizon=16))
-    assert all(t < 16 for clocks in schedule.stalls.values() for t in clocks)
-    for node in schedule.stalls:
-        assert not schedule.stalled(node, 16)
-        assert not schedule.stalled(node, 1_000)
+    assert schedule.clocks == 16
+    gate = schedule.gate()
+    for node in schedule.nodes:
+        assert not gate(node, 16)
+        assert not gate(node, 1_000)
 
 
 def test_void_storm_and_stop_glitch_target_the_environment_edges():
     lis = chain_lis()
     storm = build_schedule(lis, void_storm(seed=2))
-    assert set(storm.stalls) <= {"src"}  # only the source shell
+    assert stalled_nodes(storm) <= {"src"}  # only the source shell
     glitch = build_schedule(lis, stop_glitches(seed=2, density=0.9))
-    assert set(glitch.stalls) <= {"dst"}  # only the sink shell
+    assert stalled_nodes(glitch) <= {"dst"}  # only the sink shell
 
 
 def test_relay_jitter_targets_relay_stations_only():
     schedule = build_schedule(fig15_lis(), relay_jitter(seed=5, density=0.9))
-    assert schedule.stalls
+    assert stalled_nodes(schedule)
     assert all(
-        isinstance(n, tuple) and n[0] == "rs" for n in schedule.stalls
+        isinstance(n, tuple) and n[0] == "rs" for n in stalled_nodes(schedule)
     )
 
 
@@ -115,8 +130,8 @@ def test_adversarial_stalls_focus_on_the_critical_cycle():
     result = actual_mst(lis)
     crit = {e.src for e in result.critical} | {e.dst for e in result.critical}
     schedule = build_schedule(lis, adversarial_stalls(seed=9))
-    assert schedule.stalls
-    assert set(schedule.stalls) <= crit
+    assert stalled_nodes(schedule)
+    assert stalled_nodes(schedule) <= crit
 
 
 def test_explicit_nodes_override_matches_str_and_repr():
@@ -130,12 +145,10 @@ def test_explicit_nodes_override_matches_str_and_repr():
             nodes=("src", repr(("rs", 0, 0))),
         ),
     )
-    assert set(schedule.stalls) <= {"src", ("rs", 0, 0)}
-    assert len(schedule.stalls) == 2
+    assert stalled_nodes(schedule) == {"src", ("rs", 0, 0)}
 
 
 def test_mask_agrees_with_gate():
-    np = pytest.importorskip("numpy")
     from repro.sim import compile_lis
 
     lis = fig15_lis()
@@ -143,13 +156,14 @@ def test_mask_agrees_with_gate():
         lis, [random_stalls(seed=4), relay_jitter(seed=4, density=0.8)]
     )
     compiled = compile_lis(lis)
-    clocks = schedule.horizon + 8
-    mask = schedule.mask(compiled, clocks)
-    assert mask.shape == (clocks, compiled.n_nodes)
+    mask = schedule.mask(compiled)
+    assert mask.shape == (schedule.clocks, 1, compiled.n_nodes)
     assert mask.dtype == np.bool_
-    for t in range(clocks):
+    gate = schedule.gate()
+    for t in range(schedule.clocks + 8):
         for i, name in enumerate(compiled.node_names):
-            assert mask[t, i] == schedule.stalled(name, t)
+            stalled = t < schedule.clocks and bool(mask[t, 0, i])
+            assert stalled == gate(name, t)
 
 
 def test_default_behaviors_are_seeded_and_stateful():

@@ -250,6 +250,49 @@ def test_select_probe_shell_without_limiting_scc():
     assert select_probe_shell(lis, fake) == lis.shells()[0]
 
 
+def test_select_probe_shell_takes_the_first_shell_in_repr_order():
+    """Stages and relays are skipped even when they sort first, and
+    the pick does not follow set iteration order."""
+    lis = LisGraph()
+    lis.add_shell(("zz", 1), latency=2)
+    lis.add_shell(("zz", 2))
+    lis.add_channel(("zz", 1), ("zz", 2), relays=1)
+    lis.add_channel(("zz", 2), ("zz", 1))
+    scc = frozenset(
+        {("zz", 2), ("zz", 1), ("stage", ("zz", 1), 0), ("rs", 0, 0)}
+    )
+    fake = ThroughputResult(mst=Fraction(1, 2), critical=None, limiting_scc=scc)
+    assert select_probe_shell(lis, fake) == ("zz", 1)
+
+
+def test_measure_probe_does_not_depend_on_the_hash_seed():
+    """``measure`` results are cached by content, so the probe it picks
+    on its own must be the same in every process."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from repro.core.serialize import lis_to_json; "
+        "from repro.engine.ops import run_op; "
+        "from repro.gen import named_system; "
+        "result, _ = run_op('measure', lis_to_json(named_system('fig19')), "
+        "{'backend': 'trace'}); "
+        "print(result['shell'], result['throughput'])"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "5")
+    }
+    assert len(outputs) == 1, outputs
+
+
 def test_crossvalidate_backend_subset_and_skip():
     """crossvalidate honours an explicit subset and silently skips
     backends that do not support the system."""

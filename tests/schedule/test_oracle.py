@@ -61,7 +61,7 @@ def test_fig15_oracle_exact_rate_and_period():
     assert oracle.throughput("A") == Fraction(3, 4)
     rates = oracle.shell_throughputs()
     assert set(rates.values()) == {Fraction(3, 4)}
-    assert oracle.warmup_needed == oracle.transient == 0
+    assert oracle.transient == 0
 
 
 def test_oracle_matches_pure_reference_on_paper_examples():

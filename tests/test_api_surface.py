@@ -121,13 +121,16 @@ def test_version_string():
 
 def test_import_repro_leaves_the_dsl_unloaded():
     """The structural netlist lives in repro.lis; importing the package
-    root (or the simulator) must not pull in the declarative frontend."""
+    root (or the simulator) must not pull in the declarative frontend.
+    Nor does the root load the stochastic layer: the stall schedule
+    type it shares with repro.faults lives in repro.faults."""
     import subprocess
     import sys
 
     code = (
         "import sys, repro, repro.lis.rtl_sim; "
-        "print(sorted(m for m in sys.modules if m.startswith('repro.dsl')))"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('repro.dsl', 'repro.stochastic'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

@@ -62,7 +62,7 @@ def test_full_pipeline_on_generated_system():
         repaired.set_queue(cid, repaired.queue(cid) + tokens)
     schedule = schedule_lis(repaired, practical=True)
     probe = repaired.shells()[0]
-    assert schedule.rate(probe) == 1
+    assert schedule.throughput(probe) == 1
 
     # 6. Serialization round-trips the repaired system faithfully.
     clone = lis_from_json(lis_to_json(repaired))
