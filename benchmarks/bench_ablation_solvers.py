@@ -3,11 +3,19 @@
 Uses the Vertex Cover reduction of Section V as a difficulty dial:
 random VC instances of growing size produce queue-sizing problems
 whose optimum equals the minimum cover.  Compares the heuristic
-(Section VII-B), the branch-and-bound exact solver, the LP-based MILP
-solver (the Lu--Koh baseline style), and the LP fractional bound.
+(Section VII-B), the branch-and-bound exact solver, its pure-Python
+reference (``exact-ref``), the LP-based MILP solver (the Lu--Koh
+baseline style), and the LP fractional bound.
 
-Checks: exact == milp == minimum vertex cover; heuristic feasible and
-within a bounded factor; LP bound sandwiched below.
+Checks: exact == exact-ref == milp == minimum vertex cover; heuristic
+feasible and within a bounded factor; LP bound sandwiched below.
+
+The two exact searches each get a freshly built instance, so neither
+reuses the other's compiled kernel or memoized heuristic, and their
+summed times are written on every run as a before/after pair
+(``ablation_solvers.before.json`` = ``exact-ref``,
+``ablation_solvers.after.json`` = the kernel) for
+``check_regression.py --metric exact_total_ms --min-speedup``.
 """
 
 import random
@@ -19,7 +27,7 @@ from repro.core.npcomplete import (
 )
 from repro.core.solvers import get_solver, lp_lower_bound
 from repro.core.token_deficit import build_td_instance
-from repro.experiments import render_table
+from repro.experiments import render_table, save_result_json
 
 SIZES = [4, 6, 8]
 
@@ -52,7 +60,14 @@ def test_ablation_solvers(benchmark, publish):
             red = reduce_vertex_cover_to_qs(vertices, edges, n)
             instance = build_td_instance(red.lis, simplify=True)
             heur, heur_ms = timed_solve("heuristic", instance)
-            exact, exact_ms = timed_solve("exact", instance, timeout=120)
+            exact, exact_ms = timed_solve(
+                "exact", build_td_instance(red.lis, simplify=True),
+                timeout=120,
+            )
+            ref, ref_ms = timed_solve(
+                "exact-ref", build_td_instance(red.lis, simplify=True),
+                timeout=120,
+            )
             milp, milp_ms = timed_solve("milp", instance, timeout=120)
             bound = lp_lower_bound(instance)
             forced = sum(instance.forced.values())
@@ -66,6 +81,8 @@ def test_ablation_solvers(benchmark, publish):
                     "heur_ms": heur_ms,
                     "exact": exact + forced,
                     "exact_ms": exact_ms,
+                    "exact_ref": ref + forced,
+                    "exact_ref_ms": ref_ms,
                     "milp": milp + forced,
                     "milp_ms": milp_ms,
                     "lp": bound + forced,
@@ -76,8 +93,9 @@ def test_ablation_solvers(benchmark, publish):
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     for row in rows:
-        # Both complete solvers certify the reduction's optimum.
+        # The complete solvers certify the reduction's optimum.
         assert row["exact"] == row["vc"]
+        assert row["exact_ref"] == row["vc"]
         assert row["milp"] == row["vc"]
         # Sandwich: LP bound <= optimum <= heuristic <= 2x optimum + slack
         # (the vertex-construct structure caps the greedy's overshoot).
@@ -93,12 +111,29 @@ def test_ablation_solvers(benchmark, publish):
             f"{r['heur_ms']:.2f}",
             r["exact"],
             f"{r['exact_ms']:.2f}",
+            f"{r['exact_ref_ms']:.2f}",
             r["milp"],
             f"{r['milp_ms']:.2f}",
             f"{r['lp']:.2f}",
         ]
         for r in rows
     ]
+    save_result_json(
+        "ablation_solvers.before",
+        {
+            "phase": "exact-ref-pure-python",
+            "sizes": SIZES,
+            "exact_total_ms": sum(r["exact_ref_ms"] for r in rows),
+        },
+    )
+    save_result_json(
+        "ablation_solvers.after",
+        {
+            "phase": "exact-bitset-kernel",
+            "sizes": SIZES,
+            "exact_total_ms": sum(r["exact_ms"] for r in rows),
+        },
+    )
     publish(
         "ablation_solvers",
         render_table(
@@ -110,6 +145,7 @@ def test_ablation_solvers(benchmark, publish):
                 "ms",
                 "exact",
                 "ms",
+                "ref ms",
                 "milp",
                 "ms",
                 "LP bound",

@@ -1,28 +1,27 @@
-"""Benchmark regression guard for the solver-kernel timings.
+"""Benchmark regression guard over published result JSONs.
 
-Two checks, both driven by the published result JSONs under
+Three checks, all driven by the result JSONs under
 ``benchmarks/results/``:
 
 * ``--tolerance`` (default 1.25): fail when a metric of the current
-  run exceeds ``baseline * tolerance`` -- the CI guard that the exact
-  solver's mean wall-time has not regressed by more than 25% against
-  the committed baseline.
+  run exceeds ``baseline * tolerance`` -- e.g. the server p99 against
+  its committed baseline.
 * ``--min-speedup`` (optional): fail when ``baseline_metric /
-  current_metric`` falls below the given factor -- used to assert the
-  kernel's recorded before/after speedup stays real.
+  current_metric`` falls below the given factor -- used on the
+  before/after pairs a benchmark rewrites on every run, so the
+  speedup is measured on the current code.
 * ``--floor`` (optional): fail when ``current < baseline * floor`` --
   the bigger-is-better guard for rates (cache hit rate, coalesce
   rate, throughput) where the other two modes point the wrong way.
 
 Exit status 0 when every metric passes, 1 otherwise.
 
-Usage (the CI smoke job)::
+Usage (the CI smoke job, after ``bench_ablation_solvers.py`` ran)::
 
     python benchmarks/check_regression.py \
-        --baseline benchmarks/results/table4_exact_vs_heuristic.after.json \
-        --current benchmarks/results/table4_exact_vs_heuristic.json \
-        --metric exact_mean_ms --metric heuristic_mean_ms \
-        --tolerance 1.25
+        --baseline benchmarks/results/ablation_solvers.before.json \
+        --current benchmarks/results/ablation_solvers.after.json \
+        --metric exact_total_ms --min-speedup 3.0
 """
 
 from __future__ import annotations

@@ -93,7 +93,6 @@ from .engine import (
     EngineStats,
     analyze_many,
     run_checkpointed,
-    solve_exact_portfolio,
 )
 from .faults import (
     FaultSpec,
@@ -254,7 +253,6 @@ __all__ = [
     "simulate_trace",
     "size_queues",
     "system",
-    "solve_exact_portfolio",
     "tail_curve",
     "torus_lis",
     "__version__",

@@ -349,34 +349,24 @@ class Context:
         records = self.deficient_cycles(goal, extra_tokens, max_cycles)
         return td_instance_from_records(records, goal, simplify=simplify)
 
-    def td_kernel(
-        self,
-        target: Fraction | None = None,
-        extra_tokens: dict[int, int] | None = None,
-        max_cycles: int | None = None,
-        simplify: bool = True,
-    ):
+    def td_kernel(self, simplify: bool = True):
         """The bitset-compiled :class:`~repro.core.solvers.TdKernel` of
-        this content's TD instance, cached per (target, assignment,
-        simplify) key.
+        this content's TD instance at the ideal MST, cached per
+        ``simplify`` flag.
 
         Unlike :meth:`td_instance` (mutable, rebuilt per call) the
         kernel is immutable apart from its stats accumulator, so one
-        compilation serves every solver, batch-feasibility check, and
-        portfolio probe on the same content.  ``simplify=False``
-        compiles the *unsimplified* instance (no forced weights), the
-        form that validates complete assignments via ``check_batch``.
+        compilation serves every solver and batch-feasibility check on
+        the same content.  ``simplify=False`` compiles the
+        *unsimplified* instance (no forced weights), the form that
+        validates complete assignments via ``check_batch``.
         """
         from ..core.solvers.kernel import compile_td
 
-        goal = target if target is not None else self.ideal_mst().mst
-        key = (goal, _extra_key(extra_tokens, self._channel_ids), simplify)
         return self._memo(
             "td_kernel",
-            key,
-            lambda: compile_td(
-                self.td_instance(goal, extra_tokens, max_cycles, simplify=simplify)
-            ),
+            simplify,
+            lambda: compile_td(self.td_instance(simplify=simplify)),
         )
 
     # ------------------------------------------------------------------

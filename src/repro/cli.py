@@ -789,13 +789,27 @@ def _cmd_tail(args) -> int:
 
 def _cmd_size(args) -> int:
     from .analysis import get_context
+    from .core.solvers import ExactTimeout
 
     lis = get_context(load_lis(args.file))
-    target = Fraction(args.target) if args.target else None
     try:
+        target = Fraction(args.target) if args.target else None
         solution = size_queues(
             lis, method=args.method, target=target, timeout=args.timeout
         )
+    except ZeroDivisionError:
+        print(
+            f"error: target {args.target!r} has a zero denominator",
+            file=sys.stderr,
+        )
+        return 2
+    except ExactTimeout:
+        print(
+            f"error: {args.method} search timed out after "
+            f"{args.timeout} s",
+            file=sys.stderr,
+        )
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

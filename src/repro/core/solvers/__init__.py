@@ -1,12 +1,11 @@
 """Queue-sizing solvers: the heuristic and exact algorithms of Section
 VII-B plus fixed uniform sizing, behind one high-level entry point.
 
-:func:`size_queues` is the API most callers want; it dispatches to a
-named algorithm through the solver registry (:func:`get_solver` /
-:func:`register_solver`), so external solvers plug in uniformly.  The
-``solve_td_<method>(lis, **options)`` entrypoints are shorthands for
-``size_queues(lis, method=<method>, **options)``; a token-deficit
-instance is solved with ``get_solver(<method>).solve_instance``.
+:func:`size_queues` is the one system-level entry point; it looks the
+named algorithm up in the solver registry (:func:`get_solver` /
+:func:`register_solver`, so external solvers plug in uniformly) and
+calls :meth:`Solver.solve_instance` on the system's token-deficit
+instance, which is also how a raw instance is solved.
 """
 
 from __future__ import annotations
@@ -18,21 +17,14 @@ from .exact import (
     solve_td_exact_instance,
     solve_td_exact_reference_instance,
 )
-from .facade import (
-    QsSolution,
-    size_queues,
-    solve_td_exact,
-    solve_td_greedy,
-    solve_td_heuristic,
-    solve_td_milp,
-)
+from .facade import QsSolution, size_queues
 from .fixed import fixed_qs_mst, fixed_qs_profile, minimal_fixed_q
 from .greedy import solve_td_greedy_instance
 from .heuristic import (
     solve_td_heuristic_instance,
     solve_td_heuristic_reference_instance,
 )
-from .kernel import KernelStats, NodeLimitReached, TdKernel, compile_td
+from .kernel import KernelStats, TdKernel, compile_td
 from .milp import MilpOutcome, lp_lower_bound, solve_td_milp_instance
 from .registry import Solver, available_solvers, get_solver, register_solver
 
@@ -46,16 +38,11 @@ __all__ = [
     "compile_td",
     "TdKernel",
     "KernelStats",
-    "NodeLimitReached",
-    "solve_td_heuristic",
     "solve_td_heuristic_instance",
     "solve_td_heuristic_reference_instance",
-    "solve_td_greedy",
     "solve_td_greedy_instance",
-    "solve_td_exact",
     "solve_td_exact_instance",
     "solve_td_exact_reference_instance",
-    "solve_td_milp",
     "solve_td_milp_instance",
     "lp_lower_bound",
     "ExactOutcome",

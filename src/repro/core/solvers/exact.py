@@ -123,7 +123,6 @@ def solve_td_exact_instance(
     instance: td.TokenDeficitInstance,
     *,
     timeout: float | None = None,
-    upper_bound: int | None = None,
 ) -> tuple[dict[int, int], dict]:
     """Normalized registry signature: ``(weights, stats)``.
 
@@ -138,7 +137,7 @@ def solve_td_exact_instance(
         stats["deadline_overshoot"] = 0.0
         return {}, stats
     kern = compile_td(instance)
-    weights, kstats = kern.solve_exact(upper_bound=upper_bound, timeout=timeout)
+    weights, kstats = kern.solve_exact(timeout=timeout)
     stats = kstats.as_dict()
     stats["backend"] = "kernel"
     stats["deadline_overshoot"] = kstats.deadline_overshoot
@@ -149,11 +148,10 @@ def solve_td_exact_reference_instance(
     instance: td.TokenDeficitInstance,
     *,
     timeout: float | None = None,
-    upper_bound: int | None = None,
 ) -> tuple[dict[int, int], dict]:
     """The pure-Python reference search (registry name ``exact-ref``):
     the differential oracle the kernel is validated against."""
-    outcome = _search(instance, upper_bound=upper_bound, timeout=timeout)
+    outcome = _search(instance, timeout=timeout)
     stats = empty_stats()
     stats["nodes_explored"] = outcome.nodes_explored
     stats["backend"] = "reference"
@@ -162,16 +160,15 @@ def solve_td_exact_reference_instance(
 
 def _search(
     instance: td.TokenDeficitInstance,
-    upper_bound: int | None = None,
     timeout: float | None = None,
 ) -> ExactOutcome:
     """Minimum-cost solution of a TD instance's residual problem.
 
-    Binary-searches K in ``[max residual deficit, upper bound]`` --
+    Binary-searches K in ``[max residual deficit, heuristic cost]`` --
+    the heuristic solution is known feasible (as in the paper) and
     feasibility is monotone in K, so the standard bisection applies.
-    ``upper_bound`` is a known-feasible cost (default: the heuristic
-    solution's cost, as in the paper); on expiry of ``timeout``
-    (wall-clock seconds) :class:`ExactTimeout` is raised.
+    On expiry of ``timeout`` (wall-clock seconds) :class:`ExactTimeout`
+    is raised.
     """
     from .heuristic import _descend
 
@@ -181,12 +178,9 @@ def _search(
     if instance.is_trivial:
         return ExactOutcome(weights={}, cost=0, nodes_explored=0)
 
-    if upper_bound is None:
-        upper_bound = sum(_descend(instance).values())
-
     # No single cycle can be fixed with fewer tokens than its deficit.
     low = max(instance.deficits.values())
-    high = upper_bound
+    high = sum(_descend(instance).values())
     best: dict[int, int] | None = None
     while low < high:
         if deadline is not None and time.monotonic() > deadline:

@@ -13,22 +13,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
 
 from ..cycles import collapse_sccs, is_collapsible
 from ..lis_graph import LisGraph
 from ..throughput import actual_mst, ideal_mst
-from ..token_deficit import TokenDeficitInstance, build_td_instance
+from ..token_deficit import build_td_instance
 from .registry import get_solver
 
-__all__ = [
-    "QsSolution",
-    "size_queues",
-    "solve_td_exact",
-    "solve_td_greedy",
-    "solve_td_heuristic",
-    "solve_td_milp",
-]
+__all__ = ["QsSolution", "size_queues"]
 
 
 @dataclass(frozen=True)
@@ -158,38 +150,3 @@ def size_queues(
         enumeration_elapsed=t1 - t0,
         stats=stats,
     )
-
-
-# ``solve_td_<method>(lis, **options)`` is ``size_queues(lis,
-# method=<method>, **options)``; instance-level solving goes through
-# ``get_solver(<method>).solve_instance``.
-def _solve_system(method: str, lis: Any, options: dict[str, Any]) -> QsSolution:
-    if isinstance(lis, TokenDeficitInstance):
-        raise TypeError(
-            f"solve_td_{method}() takes a LisGraph; solve a "
-            f"TokenDeficitInstance with "
-            f"get_solver({method!r}).solve_instance(instance)"
-        )
-    return size_queues(lis, method=method, **options)
-
-
-def solve_td_exact(lis: LisGraph, **options: Any) -> QsSolution:
-    """Optimal queue sizing of ``lis`` (options as for :func:`size_queues`)."""
-    return _solve_system("exact", lis, options)
-
-
-def solve_td_greedy(lis: LisGraph, **options: Any) -> QsSolution:
-    """Set-cover queue sizing of ``lis`` (options as for :func:`size_queues`)."""
-    return _solve_system("greedy", lis, options)
-
-
-def solve_td_heuristic(lis: LisGraph, **options: Any) -> QsSolution:
-    """Section VII-B heuristic sizing of ``lis`` (options as for
-    :func:`size_queues`)."""
-    return _solve_system("heuristic", lis, options)
-
-
-def solve_td_milp(lis: LisGraph, **options: Any) -> QsSolution:
-    """LP branch-and-bound sizing of ``lis`` (options as for
-    :func:`size_queues`)."""
-    return _solve_system("milp", lis, options)

@@ -44,7 +44,6 @@ from .. import token_deficit as td
 
 __all__ = [
     "KernelStats",
-    "NodeLimitReached",
     "TdKernel",
     "compile_td",
 ]
@@ -71,10 +70,6 @@ def _exact_timeout():
 
         _ExactTimeout = ExactTimeout
     return _ExactTimeout
-
-
-class NodeLimitReached(Exception):
-    """The exact search exceeded its ``node_limit`` (portfolio gate)."""
 
 
 @dataclass
@@ -328,22 +323,11 @@ class TdKernel:
                 acc |= cm
         return bound
 
-    def root_branch_channels(self) -> tuple[int, ...]:
-        """The root node's branching channels: the covering channels of
-        the worst-deficit cycle.  A feasibility probe forced down each
-        of these (``feasible(..., root_channel=c)``) partitions the root
-        of the search tree -- the portfolio op's unit of work."""
-        if not self.deficits:
-            return ()
-        return tuple(self.channels[j] for j in self._cover_cols[0])
-
     def feasible(
         self,
         budget: int,
         *,
         deadline: float | None = None,
-        root_channel: int | None = None,
-        node_limit: int | None = None,
         table: dict | None = None,
         stats: KernelStats | None = None,
     ) -> dict[int, int] | None:
@@ -351,10 +335,9 @@ class TdKernel:
         ``None`` -- one "is there a solution with <= K tokens?" query of
         the paper's binary search.
 
-        ``root_channel`` forces the first token onto that channel (the
-        portfolio split); ``deadline`` is an absolute monotonic instant
-        checked inside the DFS every :data:`DEADLINE_STRIDE` nodes;
-        ``table`` lets bisection probes share one transposition table.
+        ``deadline`` is an absolute monotonic instant checked inside the
+        DFS every :data:`DEADLINE_STRIDE` nodes; ``table`` lets
+        bisection probes share one transposition table.
         """
         ExactTimeout = _exact_timeout()
         stats = stats if stats is not None else self.stats
@@ -368,10 +351,6 @@ class TdKernel:
 
         def dfs(alive: int, remaining: int) -> bool:
             stats.nodes_explored += 1
-            if node_limit is not None and stats.nodes_explored > node_limit:
-                raise NodeLimitReached(
-                    f"exact search passed {node_limit} nodes"
-                )
             if (
                 deadline is not None
                 and stats.nodes_explored % DEADLINE_STRIDE == 0
@@ -431,103 +410,72 @@ class TdKernel:
                 table[key] = remaining
             return False
 
-        remaining = budget
-        if root_channel is not None:
-            col = self._col_of.get(root_channel)
-            if col is None:
-                raise ValueError(
-                    f"channel {root_channel} not in the compiled instance"
-                )
-            if budget < 1:
-                return None
-            weights[col] = 1
-            dead = 0
-            for row in channel_rows[col]:
-                residual[row] -= 1
-                if residual[row] <= 0:
-                    dead |= 1 << row
-            alive &= ~dead
-            remaining = budget - 1
-        if dfs(alive, remaining):
+        if dfs(alive, budget):
             return {
                 self.channels[j]: w for j, w in enumerate(weights) if w
             }
         return None
 
     def solve_exact(
-        self,
-        *,
-        upper_bound: int | None = None,
-        timeout: float | None = None,
-        deadline: float | None = None,
-        node_limit: int | None = None,
-        stats: KernelStats | None = None,
+        self, *, timeout: float | None = None
     ) -> tuple[dict[int, int], KernelStats]:
         """Minimum-cost residual weights by bisection over the budget.
 
-        Mirrors the reference ``_search`` contract: ``upper_bound``
-        defaults to the heuristic descent's cost, feasibility is
+        Mirrors the reference ``_search`` contract: the heuristic
+        descent's cost is the known-feasible upper bound, feasibility is
         monotone in the budget, and the converged probe's weights come
         back.  One transposition table serves every probe.  Raises
-        :class:`~repro.core.solvers.ExactTimeout` on deadline expiry
-        (``timeout`` seconds from now, or an absolute monotonic
-        ``deadline`` shared with an outer loop) and
-        :class:`NodeLimitReached` past ``node_limit`` nodes.  A
-        caller-supplied ``stats`` accumulator keeps its counts even
-        when the search raises (the portfolio driver relies on this).
+        :class:`~repro.core.solvers.ExactTimeout` once ``timeout``
+        seconds have passed.  Returns the weights and this search's
+        counters, which are also added to :attr:`stats`.
         """
-        ExactTimeout = _exact_timeout()
-        stats = stats if stats is not None else KernelStats()
-        if deadline is None and timeout is not None:
-            deadline = time.monotonic() + timeout
+        stats = KernelStats()
         if not self.deficits:
             return {}, stats
-        if deadline is not None and time.monotonic() > deadline:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        best = self._bisect(deadline, stats)
+        self.stats.nodes_explored += stats.nodes_explored
+        self.stats.table_hits += stats.table_hits
+        self.stats.bound_cuts += stats.bound_cuts
+        return best, stats
+
+    def _bisect(
+        self, deadline: float | None, stats: KernelStats
+    ) -> dict[int, int]:
+        """:meth:`solve_exact`'s probe sequence: the floor, the
+        bisection, then the converged budget."""
+        ExactTimeout = _exact_timeout()
+
+        def expired() -> bool:
+            return deadline is not None and time.monotonic() > deadline
+
+        if expired():
             raise ExactTimeout
-        best_known: dict[int, int] | None = None
-        if upper_bound is None:
-            best_known = self.solve_heuristic()
-            upper_bound = sum(best_known.values())
+        heuristic = self.solve_heuristic()
+        high = sum(heuristic.values())
         # Root disjoint-packing bound (admissible, see feasible()):
         # tighten the bisection floor, and when the heuristic already
         # meets it, its solution is provably optimal -- no search at all.
         low = max(self.root_lower_bound(), self.deficits[0])
-        if best_known is not None and upper_bound <= low:
-            return best_known, stats
+        if high <= low:
+            return heuristic
         table: dict = {}
         # Probe the floor first: any solution within ``low`` tokens
         # costs exactly ``low`` (no feasible assignment can beat the
         # admissible bound), so a hit ends the search in one probe.
-        found = self.feasible(
-            low,
-            deadline=deadline,
-            node_limit=node_limit,
-            table=table,
-            stats=stats,
-        )
+        found = self.feasible(low, deadline=deadline, table=table, stats=stats)
         if found is not None:
-            self.stats.nodes_explored += stats.nodes_explored
-            self.stats.table_hits += stats.table_hits
-            self.stats.bound_cuts += stats.bound_cuts
-            return found, stats
+            return found
         low += 1
-        if best_known is not None and upper_bound <= low:
-            self.stats.nodes_explored += stats.nodes_explored
-            self.stats.table_hits += stats.table_hits
-            self.stats.bound_cuts += stats.bound_cuts
-            return best_known, stats
-        high = upper_bound
+        if high <= low:
+            return heuristic
         best: dict[int, int] | None = None
         while low < high:
-            if deadline is not None and time.monotonic() > deadline:
+            if expired():
                 raise ExactTimeout
             mid = (low + high) // 2
             found = self.feasible(
-                mid,
-                deadline=deadline,
-                node_limit=node_limit,
-                table=table,
-                stats=stats,
+                mid, deadline=deadline, table=table, stats=stats
             )
             if found is not None:
                 best = found
@@ -535,23 +483,16 @@ class TdKernel:
             else:
                 low = mid + 1
         if best is None or sum(best.values()) > low:
-            if deadline is not None and time.monotonic() > deadline:
+            if expired():
                 raise ExactTimeout
             best = self.feasible(
-                low,
-                deadline=deadline,
-                node_limit=node_limit,
-                table=table,
-                stats=stats,
+                low, deadline=deadline, table=table, stats=stats
             )
             if best is None:  # pragma: no cover - upper bound is feasible
                 raise RuntimeError(
                     "binary search converged on infeasible budget"
                 )
-        self.stats.nodes_explored += stats.nodes_explored
-        self.stats.table_hits += stats.table_hits
-        self.stats.bound_cuts += stats.bound_cuts
-        return best, stats
+        return best
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,9 +31,6 @@ from .heuristic import (
 from .milp import solve_td_milp_instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from fractions import Fraction
-
-    from ..lis_graph import LisGraph
     from ..token_deficit import TokenDeficitInstance
 
 __all__ = ["Solver", "available_solvers", "get_solver", "register_solver"]
@@ -49,14 +46,11 @@ class Solver:
         name: Registry key (``size_queues(..., method=name)``).
         fn: The normalized instance-level solver.
         description: One-line summary shown by diagnostics.
-        supports_timeout: Whether ``timeout`` is honoured (purely
-            informational; every registered ``fn`` must *accept* it).
     """
 
     name: str
     fn: InstanceSolver = field(repr=False)
     description: str = ""
-    supports_timeout: bool = False
 
     def solve_instance(
         self,
@@ -71,31 +65,6 @@ class Solver:
         """
         return self.fn(instance, timeout=timeout)
 
-    def solve(
-        self,
-        lis: "LisGraph",
-        *,
-        target: "Fraction | None" = None,
-        timeout: float | None = None,
-        max_cycles: int | None = None,
-        collapse: str = "auto",
-        verify: bool = True,
-    ):
-        """Size the queues of ``lis`` with this solver (the normalized
-        keyword set shared by every entrypoint); returns a
-        :class:`~repro.core.solvers.QsSolution`."""
-        from .facade import size_queues
-
-        return size_queues(
-            lis,
-            method=self.name,
-            target=target,
-            timeout=timeout,
-            max_cycles=max_cycles,
-            collapse=collapse,
-            verify=verify,
-        )
-
 
 _REGISTRY: dict[str, Solver] = {}
 
@@ -104,18 +73,12 @@ def register_solver(
     name: str,
     fn: InstanceSolver,
     description: str = "",
-    supports_timeout: bool = False,
     overwrite: bool = False,
 ) -> Solver:
     """Register ``fn`` under ``name``; returns the :class:`Solver`."""
     if name in _REGISTRY and not overwrite:
         raise ValueError(f"solver {name!r} already registered")
-    solver = Solver(
-        name=name,
-        fn=fn,
-        description=description,
-        supports_timeout=supports_timeout,
-    )
+    solver = Solver(name=name, fn=fn, description=description)
     _REGISTRY[name] = solver
     return solver
 
@@ -155,17 +118,14 @@ register_solver(
     "exact",
     solve_td_exact_instance,
     description="binary search + branch and bound (optimal, bitset kernel)",
-    supports_timeout=True,
 )
 register_solver(
     "exact-ref",
     solve_td_exact_reference_instance,
     description="pure-Python reference exact search (kernel oracle)",
-    supports_timeout=True,
 )
 register_solver(
     "milp",
     solve_td_milp_instance,
     description="LP-based branch and bound (needs scipy)",
-    supports_timeout=True,
 )

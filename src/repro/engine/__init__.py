@@ -19,7 +19,6 @@ from .cache import DiskCache, LruCache, canonical_options, content_key
 from .checkpoint import Checkpoint, run_checkpointed, task_key
 from .core import AnalysisEngine, EngineStats, analyze_many
 from .ops import available_ops, get_op, register_op, run_op
-from .portfolio import PORTFOLIO_NODE_LIMIT, solve_exact_portfolio
 
 __all__ = [
     "AnalysisEngine",
@@ -29,8 +28,6 @@ __all__ = [
     "get_op",
     "register_op",
     "run_op",
-    "solve_exact_portfolio",
-    "PORTFOLIO_NODE_LIMIT",
     "Checkpoint",
     "run_checkpointed",
     "task_key",

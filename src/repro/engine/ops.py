@@ -224,48 +224,6 @@ def _op_analyze(ctx: Context, options: dict):
     return report, meta
 
 
-def _op_td_probe(ctx: Context, options: dict):
-    """One root-partitioned feasibility probe of the exact search: "is
-    there a solution with <= ``budget`` tokens whose first token lands
-    on ``root_channel``?" -- the unit of work
-    :func:`~repro.engine.solve_exact_portfolio` fans out per bisection
-    budget.
-
-    Options: ``budget`` (int, required), ``root_channel`` (optional
-    channel id), ``target`` (optional throughput, e.g. ``"7/8"``),
-    ``collapse`` (default True: probe the rule-4 collapsed system when
-    the topology allows it),
-    ``timeout`` (seconds).  Returns ``{"feasible", "weights", "stats"}``
-    over the (collapsed) residual problem.
-    """
-    from ..core.solvers.kernel import KernelStats
-
-    work = ctx
-    if options.get("collapse", True) and ctx.is_collapsible():
-        work, _ = ctx.collapsed()
-    kern = work.td_kernel(_coerce_target(options.get("target")))
-    stats = KernelStats()
-    deadline = None
-    if options.get("timeout") is not None:
-        deadline = time.monotonic() + float(options["timeout"])
-    root = options.get("root_channel")
-    weights = kern.feasible(
-        int(options["budget"]),
-        root_channel=None if root is None else int(root),
-        deadline=deadline,
-        stats=stats,
-    )
-    result = {
-        "feasible": weights is not None,
-        "weights": weights,
-        "stats": stats.as_dict(),
-    }
-    return result, {
-        "solver_calls": 1,
-        "solver": _solver_counters(stats.as_dict()),
-    }
-
-
 def _op_table4_trial(ctx: Context, options: dict):
     """One Table IV trial: structure counts, the heuristic cost, and
     the exact cost (None on timeout) after the SCC collapse.
@@ -597,7 +555,6 @@ register_op("measure", _op_measure)
 register_op("size_queues", _op_size_queues)
 register_op("analyze", _op_analyze)
 register_op("table4_trial", _op_table4_trial)
-register_op("td_probe", _op_td_probe)
 register_op("exhaustive_placement", _op_exhaustive_placement)
 register_op("simulate_batch", _op_simulate_batch)
 register_op("fault_trial", _op_fault_trial)

@@ -17,15 +17,9 @@ hardcoded:
 * ``supports_faults`` -- the backend honours a fault gate
   (:mod:`repro.faults`); :data:`repro.faults.BACKENDS` is derived from
   this flag.
-* ``supports_values`` -- the backend replays data values (it is a real
-  simulator, not an analytic oracle).
 * ``exact`` -- the returned rate is the exact asymptotic ``Fraction``
   (no O(1/clocks) horizon error), so cross-validation may demand exact
   equality with the analytic MST.
-* ``vectorized`` -- the backend runs on the compiled batch kernel and
-  can evaluate many configurations (or Monte-Carlo trials) per compile;
-  :mod:`repro.stochastic` requires this flag to push trials through as
-  the batch axis.
 * ``requires_scc`` -- the backend needs the doubled marked graph to be
   strongly connected (equivalently: the LIS weakly connected).
 * ``fallback`` -- the backend to substitute when a capability check
@@ -63,9 +57,7 @@ class Backend:
     fn: MeasureFn = field(repr=False)
     description: str = ""
     supports_faults: bool = False
-    supports_values: bool = False
     exact: bool = False
-    vectorized: bool = False
     requires_scc: bool = False
     fallback: str | None = None
 
@@ -130,9 +122,7 @@ def register_backend(
     fn: MeasureFn,
     description: str = "",
     supports_faults: bool = False,
-    supports_values: bool = False,
     exact: bool = False,
-    vectorized: bool = False,
     requires_scc: bool = False,
     fallback: str | None = None,
     overwrite: bool = False,
@@ -147,9 +137,7 @@ def register_backend(
         fn=fn,
         description=description,
         supports_faults=supports_faults,
-        supports_values=supports_values,
         exact=exact,
-        vectorized=vectorized,
         requires_scc=requires_scc,
         fallback=fallback,
     )
@@ -251,22 +239,18 @@ register_backend(
     _measure_trace,
     description="data-carrying marked-graph stepper (reference)",
     supports_faults=True,
-    supports_values=True,
 )
 register_backend(
     "rtl",
     _measure_rtl,
     description="structural RTL-style model (independent reference)",
     supports_faults=True,
-    supports_values=True,
 )
 register_backend(
     "fast",
     _measure_fast,
     description="vectorized numpy kernel (cycle-exact, token counting)",
     supports_faults=True,
-    supports_values=True,
-    vectorized=True,
 )
 register_backend(
     "schedule",

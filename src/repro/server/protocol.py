@@ -19,6 +19,7 @@ registry only, and LIS payloads must be inline.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
@@ -307,17 +308,19 @@ def parse_job(method: str, params: object) -> Job:
     deadline = params.get("deadline_ms")
     deadline_s: float | None = None
     if deadline is not None:
-        try:
-            deadline_s = float(deadline) / 1e3
-        except (TypeError, ValueError):
+        if (
+            isinstance(deadline, bool)
+            or not isinstance(deadline, (int, float))
+            or not 0 < deadline <= sys.float_info.max
+        ):
             raise RpcError(
-                INVALID_PARAMS, "'deadline_ms' must be a number"
-            ) from None
-        if deadline_s <= 0:
-            raise RpcError(
-                INVALID_PARAMS, "'deadline_ms' must be positive"
+                INVALID_PARAMS,
+                "'deadline_ms' must be a finite positive number",
             )
-    stream = bool(params.get("stream", False))
+        deadline_s = deadline / 1e3
+    stream = params.get("stream", False)
+    if not isinstance(stream, bool):
+        raise RpcError(INVALID_PARAMS, "'stream' must be a boolean")
 
     options_or_none = options or None
     return Job(

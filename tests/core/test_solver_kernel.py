@@ -7,19 +7,16 @@ random whole systems, the kernel must return the same optimal cost
 identical feasibility verdicts (``check_batch`` vs ``is_solution``).
 """
 
-import time
+import hashlib
+import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import get_context
-from repro.core.solvers import (
-    ExactTimeout,
-    NodeLimitReached,
-    compile_td,
-    get_solver,
-)
+from repro.core.solvers import ExactTimeout, compile_td, get_solver
 from repro.core.solvers.exact import solve_td_exact_reference_instance
 from repro.core.solvers.heuristic import _descend
 from repro.core.solvers.kernel import TdKernel
@@ -28,7 +25,6 @@ from repro.core.token_deficit import (
     TokenDeficitInstance,
     build_td_instance,
 )
-from repro.engine import AnalysisEngine, solve_exact_portfolio
 
 from tests.strategies import lis_graphs
 
@@ -153,7 +149,7 @@ def test_kernel_agrees_on_lowered_systems(lis):
 
 def _hard_instance(n: int = 7) -> TokenDeficitInstance:
     """Pairwise-overlapping covers with uniform deficits -- enough
-    branching to exercise the table, bound, and node limit."""
+    branching to exercise the table and the bound."""
     deficits = {i: 2 for i in range(n)}
     sets = {
         100 + i: {i, (i + 1) % n, (i + 3) % n} for i in range(n)
@@ -180,7 +176,6 @@ def test_compile_layout_and_reverse_index():
     assert kern.channels == (7, 10, 99)
     assert kern.covering_channels(1) == frozenset({7, 10})
     assert kern.covering_channels(2) == frozenset({7, 99})
-    assert kern.root_branch_channels() == (7, 10)
     # Masks are consistent transposes of each other.
     for row in range(kern.n_cycles):
         for col in range(kern.n_channels):
@@ -189,19 +184,10 @@ def test_compile_layout_and_reverse_index():
             )
 
 
-def test_node_limit_raises_and_portfolio_recovers():
-    instance = _hard_instance()
-    kern = compile_td(clone(instance))
-    with pytest.raises(NodeLimitReached):
-        kern.solve_exact(node_limit=1)
-    full, _ = compile_td(clone(instance)).solve_exact()
-    assert instance.is_solution(full)
-
-
 def test_deadline_overshoot_is_reported():
     kern = compile_td(_hard_instance(9))
     with pytest.raises(ExactTimeout) as excinfo:
-        kern.solve_exact(deadline=time.monotonic() - 1.0)
+        kern.solve_exact(timeout=-1.0)
     assert excinfo.value.overshoot >= 0.0
 
 
@@ -230,43 +216,6 @@ def test_solver_stats_are_uniform_across_registry():
         } <= set(stats), name
 
 
-def test_portfolio_matches_exact_on_a_system():
-    from repro.gen import GeneratorConfig, generate_lis
-
-    lis = generate_lis(
-        GeneratorConfig(
-            v=20, s=3, c=1, rs=6, rp=True, policy="scc", seed=11
-        )
-    )
-    ctx = get_context(lis)
-    expected = get_solver("exact").solve(lis, timeout=60)
-    with AnalysisEngine(jobs=1) as engine:
-        tokens, stats = solve_exact_portfolio(
-            ctx, engine=engine, timeout=60, node_limit=0
-        )
-    assert sum(tokens.values()) == expected.cost
-    assert stats["portfolio"] in (True, False)
-    from repro.core import actual_mst, ideal_mst
-
-    assert actual_mst(lis, tokens).mst >= ideal_mst(lis).mst
-
-
-def test_portfolio_falls_back_on_non_collapsible_systems():
-    """Intra-SCC relay stations defeat the rule-4 collapse; the
-    portfolio must degrade to the full graph like collapse="auto"."""
-    from repro.gen.examples import fig15_lis
-
-    lis = fig15_lis()
-    ctx = get_context(lis)
-    assert not ctx.is_collapsible()
-    expected = get_solver("exact").solve(lis, timeout=60)
-    tokens, stats = solve_exact_portfolio(lis, timeout=60)
-    assert sum(tokens.values()) == expected.cost
-    # Forced fan-out must agree too.
-    tokens, _ = solve_exact_portfolio(lis, timeout=60, node_limit=0)
-    assert sum(tokens.values()) == expected.cost
-
-
 def test_context_td_kernel_is_cached():
     from repro.gen import GeneratorConfig, generate_lis
 
@@ -282,3 +231,67 @@ def test_context_td_kernel_is_cached():
     # The unsimplified variant is a distinct artifact (no forcing).
     assert ctx.td_kernel(simplify=False) is not first
     assert ctx.td_kernel(simplify=False).forced == {}
+
+
+# ----------------------------------------------------------------------
+# Golden search trace
+# ----------------------------------------------------------------------
+
+
+def _golden_family():
+    """150 seeded random instances plus the hard overlapping family."""
+    rng = random.Random(7)
+    family = []
+    for k in range(150):
+        nc, nch = rng.randint(3, 12), rng.randint(3, 12)
+        sets = {}
+        for c in range(nch):
+            sets[100 + c] = {
+                rng.randrange(nc) for _ in range(rng.randint(1, 4))
+            }
+        deficits = {
+            i: rng.randint(1, 4) for i in sorted(set().union(*sets.values()))
+        }
+        family.append(
+            (f"r{k}", TokenDeficitInstance(deficits=deficits, sets=sets))
+        )
+    for n in range(5, 12):
+        family.append((f"hard{n}", _hard_instance(n)))
+    return family
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()[:12]
+
+
+def test_exact_search_golden_witnesses_and_counters():
+    """Pins the exact search itself, not just its optimum: the witness
+    weights and the node / table-hit / bound-cut counts of every
+    instance.  The probe order (floor probe, bisection, final probe at
+    the converged budget) and both prunes determine these numbers, so
+    a change to the search that is meant to alter them updates the
+    counter digest and says why."""
+    witnesses, counters = [], []
+    for name, instance in _golden_family():
+        weights, stats = get_solver("exact").solve_instance(
+            instance, timeout=120
+        )
+        assert instance.is_solution(weights), name
+        witnesses.append([name, sorted(weights.items())])
+        counters.append(
+            [
+                name,
+                stats["nodes_explored"],
+                stats["table_hits"],
+                stats["bound_cuts"],
+            ]
+        )
+    assert len(witnesses) == 157
+    assert sum(1 for c in counters if c[1]) == 66
+    assert [sum(c[i] for c in counters) for i in (1, 2, 3)] == [
+        11_232,
+        2_212,
+        2_858,
+    ]
+    assert _digest(witnesses) == "490d141bd283"
+    assert _digest(counters) == "cc3e5c165b39"

@@ -51,7 +51,6 @@ def test_capability_flags():
     for name in ("trace", "rtl", "fast"):
         backend = get_backend(name)
         assert backend.supports_faults
-        assert backend.supports_values
         assert not backend.exact
         assert not backend.requires_scc
         assert backend.fallback is None
@@ -59,7 +58,6 @@ def test_capability_flags():
     assert schedule.exact
     assert schedule.requires_scc
     assert not schedule.supports_faults
-    assert not schedule.supports_values
     assert schedule.fallback == "fast"
 
 

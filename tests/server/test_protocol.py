@@ -65,11 +65,27 @@ class TestParseJob:
             "analyze", {"system": "fig1", "deadline_ms": 1500}
         )
         assert job.deadline_s == pytest.approx(1.5)
-        for bad in (-5, 0, "soon"):
-            with pytest.raises(RpcError):
+        bad_values = (
+            -5, 0, "soon", float("nan"), float("inf"), True, "50", 10**400
+        )
+        for bad in bad_values:
+            with pytest.raises(RpcError) as excinfo:
                 parse_job(
                     "analyze", {"system": "fig1", "deadline_ms": bad}
                 )
+            assert excinfo.value.code == INVALID_PARAMS, bad
+        # JSON's bare NaN / Infinity literals and overflowing exponents
+        # reach parse_job as floats through json.loads.
+        for literal in ("NaN", "Infinity", "1e400"):
+            params = json.loads(
+                f'{{"system": "fig1", "deadline_ms": {literal}}}'
+            )
+            with pytest.raises(RpcError):
+                parse_job("analyze", params)
+        for bad in ("false", 1, None):
+            with pytest.raises(RpcError) as excinfo:
+                parse_job("analyze", {"system": "fig1", "stream": bad})
+            assert excinfo.value.code == INVALID_PARAMS, bad
 
     def test_job_maps_to_engine_op(self):
         job = parse_job("simulate", {"system": "fig15"})

@@ -239,9 +239,32 @@ def test_size_with_explicit_target(fig1_file, capsys):
 
 
 def test_size_invalid_target_is_an_error(fig1_file, capsys):
-    # Targets above 1 are rejected up front (no LIS can exceed rate 1).
-    assert main(["size", str(fig1_file), "--target", "3/2"]) == 2
-    assert "error:" in capsys.readouterr().err
+    # Targets above 1 are rejected up front (no LIS can exceed rate 1);
+    # targets that are not fractions at all get the same one-line error.
+    for target in ("3/2", "abc", "5/0"):
+        assert main(["size", str(fig1_file), "--target", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), target
+        assert "Traceback" not in err
+
+
+def test_size_solver_timeout_is_an_error(tmp_path, capsys):
+    """A timed-out search exits 2 with one error line; exit 1 stays
+    reserved for a sizing that misses its target."""
+    from repro.core.npcomplete import reduce_vertex_cover_to_qs
+    from repro.core.serialize import save_lis
+
+    triangle = reduce_vertex_cover_to_qs(
+        ["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")], 3
+    )
+    path = tmp_path / "triangle.json"
+    save_lis(triangle.lis, path)
+    for method in ("exact", "exact-ref"):
+        argv = ["size", str(path), "--method", method, "--timeout", "1e-9"]
+        assert main(argv) == 2, method
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "timed out" in err, method
 
 
 def test_generate_and_analyze(tmp_path, capsys):
