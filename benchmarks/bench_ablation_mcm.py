@@ -4,9 +4,9 @@ The MST of a LIS can be computed three ways: Karp's O(nm) dynamic
 program (the paper's suggestion), Howard's policy iteration, or
 brute-force enumeration of every elementary cycle.  This benchmark
 times all three on doubled marked graphs of growing size and asserts
-they agree -- quantifying why the library defaults to Karp/Howard and
-reserves enumeration for the queue-sizing stage (where the cycle list
-is needed anyway).
+they agree -- quantifying why the library defaults to Karp (Howard is
+the independent oracle) and reserves enumeration for the queue-sizing
+stage (where the cycle list is needed anyway).
 """
 
 import time
@@ -84,9 +84,11 @@ def test_ablation_mcm_algorithms(benchmark, publish):
         assert row["karp"] == row["howard"]
         if row["brute"] is not None:
             assert row["brute"] == row["karp"]
-    # Howard should not be drastically slower than Karp at scale.
+    # Karp is the library default because it is the fast exact path;
+    # Howard is the independent oracle.  Same-run guard at the largest
+    # size: integer Karp must stay at least 3x faster than Howard.
     big = rows[-1]
-    assert big["howard_ms"] < big["karp_ms"] * 5 + 50
+    assert big["karp_ms"] * 3 <= big["howard_ms"]
 
     table = [
         [

@@ -17,8 +17,6 @@ optimality-preserving); the interesting column is the search effort.
 import time
 from fractions import Fraction
 
-import pytest
-
 from repro.core.cycles import collapse_sccs, is_collapsible
 from repro.core.solvers import solve_td_exact_instance
 from repro.core.token_deficit import build_td_instance

@@ -33,7 +33,6 @@ was coalesced.
 """
 
 import asyncio
-import json
 import math
 import os
 import random

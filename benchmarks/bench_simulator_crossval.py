@@ -7,7 +7,6 @@ Section III, the data-carrying step simulator, and the structural RTL
 simulator agree on the throughput of random practical LISs.
 """
 
-from fractions import Fraction
 
 from repro.experiments import render_table
 from repro.gen import GeneratorConfig, generate_lis

@@ -13,7 +13,6 @@ with throughput numbers that match the reference *exactly*.
 """
 
 import time
-from fractions import Fraction
 
 from repro.experiments import render_table
 from repro.gen import GeneratorConfig, generate_lis

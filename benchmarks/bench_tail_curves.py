@@ -25,7 +25,6 @@ from repro.soc import cofdm_transmitter
 from repro.stochastic import (
     bernoulli_stalls,
     compile_stochastic,
-    run_monte_carlo,
 )
 
 CLOCKS = 400

@@ -17,7 +17,6 @@ way out, and channels with infinite slack can absorb any wire length.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable
 
 from ..graphs import elementary_edge_cycles
 from .lis_graph import LisGraph

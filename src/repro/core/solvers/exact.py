@@ -134,13 +134,11 @@ def solve_td_exact_instance(
     if instance.is_trivial:
         stats = empty_stats()
         stats["backend"] = "kernel"
-        stats["deadline_overshoot"] = 0.0
         return {}, stats
     kern = compile_td(instance)
     weights, kstats = kern.solve_exact(timeout=timeout)
     stats = kstats.as_dict()
     stats["backend"] = "kernel"
-    stats["deadline_overshoot"] = kstats.deadline_overshoot
     return weights, stats
 
 

@@ -83,15 +83,12 @@ class KernelStats:
         bound_cuts: Nodes pruned by the disjoint-packing lower bound
             (beyond what the max-residual prune already catches).
         batch_checks: Assignment rows validated by :meth:`check_batch`.
-        deadline_overshoot: Seconds past the deadline at the moment the
-            in-DFS check fired (0.0 when no timeout was hit).
     """
 
     nodes_explored: int = 0
     table_hits: int = 0
     bound_cuts: int = 0
     batch_checks: int = 0
-    deadline_overshoot: float = 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -357,9 +354,6 @@ class TdKernel:
             ):
                 now = time.monotonic()
                 if now > deadline:
-                    stats.deadline_overshoot = max(
-                        stats.deadline_overshoot, now - deadline
-                    )
                     raise ExactTimeout(overshoot=now - deadline)
             if not alive:
                 return True

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable
 
 from ..graphs import Edge, strongly_connected_components
-from ..graphs.mcm import critical_cycle, karp_minimum_cycle_mean
+from ..graphs.mcm import critical_cycle, critical_edges, karp_minimum_cycle_mean
 from .lis_graph import LisGraph
 from .marked_graph import MarkedGraph, place_tokens
 
@@ -159,12 +158,12 @@ def bottleneck_channels(
     everything else has slack.  Empty when the system already runs at
     rate 1.
     """
-    from ..graphs.mcm import critical_edges, karp_minimum_cycle_mean
-
-    mg = lis.doubled_marked_graph(extra_tokens)
-    mean = karp_minimum_cycle_mean(mg.graph, place_tokens)
-    if mean is None or mean >= ONE:
+    # The MST is the minimum cycle mean whenever it is below 1; a
+    # Context serves it from its memo instead of re-running Karp.
+    mean = actual_mst(lis, extra_tokens).mst
+    if mean >= ONE:
         return set()
+    mg = lis.doubled_marked_graph(extra_tokens)
     keys = critical_edges(mg.graph, place_tokens, mean)
     channels: set[int] = set()
     for key in keys:

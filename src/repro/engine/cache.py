@@ -9,7 +9,8 @@ explicit invalidation protocol to get wrong.
 
 Two layers:
 
-* :class:`LruCache` -- in-memory, bounded, per-engine;
+* :class:`LruCache` -- in-memory, bounded, per-engine, holding
+  pickled bytes;
 * :class:`DiskCache` -- optional pickle files under a cache directory,
   shared between runs and processes (written atomically via rename).
 
@@ -77,20 +78,27 @@ def content_key(op: str, lis_json: str, options: dict | None) -> str:
 
 class LruCache:
     """A small LRU mapping key -> result, with hit/miss counts kept by
-    the owning engine (this class only stores)."""
+    the owning engine (this class only stores).
+
+    Values are held as pickled bytes: a stored entry costs its compact
+    serialized size rather than a live object graph, and every
+    :meth:`get` returns a fresh, independent copy that the caller may
+    mutate.
+    """
 
     def __init__(self, maxsize: int = 4096) -> None:
         self.maxsize = max(0, maxsize)
-        self._data: OrderedDict[str, Any] = OrderedDict()
+        self._data: OrderedDict[str, bytes] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._data)
 
     def get(self, key: str) -> Any:
-        """The stored value, promoted to most-recent; KeyError on miss."""
-        value = self._data[key]
+        """A fresh copy of the stored value, promoted to most-recent;
+        KeyError on miss."""
+        blob = self._data[key]
         self._data.move_to_end(key)
-        return value
+        return pickle.loads(blob)
 
     def __contains__(self, key: str) -> bool:
         return key in self._data
@@ -98,7 +106,7 @@ class LruCache:
     def put(self, key: str, value: Any) -> None:
         if self.maxsize == 0:
             return
-        self._data[key] = value
+        self._data[key] = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         self._data.move_to_end(key)
         while len(self._data) > self.maxsize:
             self._data.popitem(last=False)

@@ -27,8 +27,8 @@ flags, and the benchmarks.  It owns three concerns:
 
 from __future__ import annotations
 
-import copy
 import os
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
@@ -321,7 +321,7 @@ class AnalysisEngine:
                 counts.add(f"ops/{op}/calls")
                 if key in self._memory:
                     counts.add(f"ops/{op}/hits")
-                    results[i] = copy.deepcopy(self._memory.get(key))
+                    results[i] = self._memory.get(key)
                     continue
                 if self._disk is not None:
                     try:
@@ -331,7 +331,7 @@ class AnalysisEngine:
                     else:
                         counts.add(f"ops/{op}/disk_hits")
                         self._memory.put(key, value)
-                        results[i] = copy.deepcopy(value)
+                        results[i] = value
                         continue
                 if key in pending:
                     counts.add(f"ops/{op}/coalesced")
@@ -394,8 +394,13 @@ class AnalysisEngine:
             self._memory.put(key, value)
             if self._disk is not None:
                 self._disk.put(op, key, value)
-            for i in indices:
-                results[i] = copy.deepcopy(value)
+            # The memo keeps bytes, so ``value`` is the first caller's
+            # own; coalesced duplicates each get an independent copy.
+            results[indices[0]] = value
+            for i in indices[1:]:
+                results[i] = pickle.loads(
+                    pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+                )
 
     def _run_local(self, op: str, lis_json: str, options: dict | None):
         """In-process execution; op-level exceptions become task

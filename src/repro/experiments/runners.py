@@ -17,7 +17,6 @@ from __future__ import annotations
 import contextlib
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..engine import AnalysisEngine
 from ..gen.generator import GeneratorConfig, generate_lis

@@ -24,7 +24,7 @@ experiment in :mod:`benchmarks` reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.lis_graph import LisGraph
 

@@ -11,12 +11,16 @@ Two independent algorithms are provided:
 
 * :func:`karp_minimum_cycle_mean` -- Karp's O(nm) dynamic program
   [Karp 1978], run per strongly connected component.  This is the
-  default used throughout the library, as the paper suggests.
-* :func:`howard_minimum_cycle_mean` -- Howard's policy iteration,
-  typically much faster in practice; used as a cross-check and for
-  large graphs.
+  default used throughout the library, as the paper suggests.  It
+  works on plain ``int`` walk weights and compares candidate means by
+  integer cross-multiplication, so the only :class:`Fraction` it
+  builds is the result.
+* :func:`howard_minimum_cycle_mean` -- Howard's policy iteration over
+  exact :class:`Fraction` biases: the independent oracle the tests
+  check Karp against, and the engine of :func:`minimum_cycle_ratio`.
 
-Both handle multigraphs (parallel edges) and self-loops.
+Both handle multigraphs (parallel edges) and self-loops.  Edge weights
+must be ``int`` (token counts); times must be positive ``int``.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ TimeFn = Callable[[Edge], int]
 
 def _unit_time(_edge: Edge) -> int:
     return 1
-
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -88,63 +90,118 @@ def _cyclic_sccs(graph: Digraph) -> list[list[Hashable]]:
 def _karp_on_scc(
     graph: Digraph, component: list[Hashable], weight: WeightFn
 ) -> Fraction:
-    """Karp's DP restricted to one strongly connected component."""
-    members = set(component)
-    nodes = list(component)
-    index = {node: i for i, node in enumerate(nodes)}
-    n = len(nodes)
-    # In-edges restricted to the component, per node index.
-    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for node in nodes:
-        for edge in graph.in_edges(node):
-            if edge.src in members:
-                in_edges[index[node]].append((index[edge.src], weight(edge)))
+    """Karp's DP restricted to one strongly connected component.
 
-    source = 0
-    # D[k][v]: minimum weight of a walk with exactly k edges from source.
-    prev = [_INF] * n
-    prev[source] = 0
-    table = [list(prev)]
+    Walk weights stay ``int``.  Each candidate mean ``(D_n(v) - D_k(v))
+    / (n - k)`` is an integer pair with a positive denominator, so
+    ``a/b < c/d`` iff ``a*d < c*b`` and only the winner becomes a
+    :class:`Fraction`.
+    """
+    members = set(component)
+    n = len(component)
+    index = {node: i for i, node in enumerate(component)}
+    # (source index, weight) of each in-edge inside the component.
+    preds = [
+        [
+            (index[edge.src], weight(edge))
+            for edge in graph.in_edges(node)
+            if edge.src in members
+        ]
+        for node in component
+    ]
+
+    # table[k][v]: least weight of a walk of exactly k edges from node
+    # 0 to v, or None when no such walk exists.
+    prev: list[int | None] = [None] * n
+    prev[0] = 0
+    table = [prev]
     for _ in range(n):
-        cur = [_INF] * n
-        for v in range(n):
-            best = _INF
-            for u, w in in_edges[v]:
-                if prev[u] is not _INF and prev[u] + w < best:
-                    best = prev[u] + w
-            cur[v] = best
+        cur: list[int | None] = []
+        for in_arcs in preds:
+            best = None
+            for u, w in in_arcs:
+                d = prev[u]
+                if d is not None:
+                    d += w
+                    if best is None or d < best:
+                        best = d
+            cur.append(best)
         table.append(cur)
         prev = cur
 
-    best_mean: Fraction | None = None
-    d_n = table[n]
-    for v in range(n):
-        if d_n[v] is _INF or d_n[v] == _INF:
+    # min over v of max over k.  When D_n(v) exists so does D_k(v) for
+    # k = dist(0, v) < n, so every scanned column has a candidate.  A
+    # column whose running max reaches the best min cannot lower it,
+    # so its scan stops there.
+    best_num: int | None = None
+    best_den = 1
+    for d_n, column in zip(table[n], zip(*table[:n])):
+        if d_n is None:
             continue
-        worst: Fraction | None = None
-        for k in range(n):
-            if table[k][v] == _INF:
-                continue
-            candidate = Fraction(int(d_n[v] - table[k][v]), n - k)
-            if worst is None or candidate > worst:
-                worst = candidate
-        if worst is not None and (best_mean is None or worst < best_mean):
-            best_mean = worst
-    if best_mean is None:  # pragma: no cover - SCC guaranteed cyclic
+        num: int | None = None
+        den = 1
+        for k, d_k in enumerate(column):
+            if d_k is not None:
+                cand, span = d_n - d_k, n - k
+                if num is None or cand * den > num * span:
+                    num, den = cand, span
+                    if best_num is not None and num * best_den >= best_num * den:
+                        break
+        else:
+            best_num, best_den = num, den
+    if best_num is None:  # pragma: no cover - SCC guaranteed cyclic
         raise RuntimeError("Karp found no cycle in a cyclic SCC")
-    return best_mean
+    return Fraction(best_num, best_den)
 
 
 def karp_minimum_cycle_mean(
     graph: Digraph, weight: WeightFn
 ) -> Fraction | None:
-    """Minimum cycle mean over the whole graph, or ``None`` if acyclic."""
+    """Minimum cycle mean over the whole graph, or ``None`` if acyclic.
+
+    ``weight`` must return ``int`` (token counts); the result is exact.
+    """
     best: Fraction | None = None
     for component in _cyclic_sccs(graph):
         mean = _karp_on_scc(graph, component, weight)
         if best is None or mean < best:
             best = mean
     return best
+
+
+def _tight_edges(
+    graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn
+) -> list[Edge]:
+    """Edges tight under Bellman--Ford potentials of the reduced
+    weights ``q*w(e) - p*t(e)`` for ``mean = p/q``, in edge order; the
+    shared core of :func:`critical_cycle` and :func:`critical_edges`.
+
+    ``ValueError`` when relaxation does not settle (``mean`` is not
+    minimal).
+    """
+    p, q = mean.numerator, mean.denominator
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    edges = list(graph.edges)
+    arcs = [
+        (index[edge.src], index[edge.dst], q * weight(edge) - p * time(edge))
+        for edge in edges
+    ]
+    # Distances from a virtual source with a 0-weight edge to each node.
+    pot = [0] * len(index)
+    for _ in range(len(index)):
+        changed = False
+        for u, v, w in arcs:
+            cand = pot[u] + w
+            if cand < pot[v]:
+                pot[v] = cand
+                changed = True
+        if not changed:
+            break
+    else:
+        raise ValueError("negative cycle: supplied mean is not minimal")
+    return [
+        edge for edge, (u, v, w) in zip(edges, arcs) if pot[u] + w == pot[v]
+    ]
 
 
 def critical_cycle(
@@ -163,32 +220,10 @@ def critical_cycle(
     any cycle of tight edges is critical.  With the default unit
     ``time`` this is the minimum cycle *mean* witness.
     """
-    p, q = mean.numerator, mean.denominator
-
-    def reduced(edge: Edge) -> int:
-        return q * weight(edge) - p * time(edge)
-
-    # Bellman-Ford from a virtual source attached to every node with
-    # zero-weight edges: start all potentials at 0 and relax.
-    pot: dict[Hashable, int] = {node: 0 for node in graph.nodes}
-    edges = list(graph.edges)
-    for _ in range(graph.number_of_nodes()):
-        changed = False
-        for edge in edges:
-            cand = pot[edge.src] + reduced(edge)
-            if cand < pot[edge.dst]:
-                pot[edge.dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - mean minimality violated
-        raise ValueError("negative cycle: supplied mean is not minimal")
-
     # Tight subgraph; any directed cycle in it attains the mean.
     tight: dict[Hashable, list[Edge]] = {node: [] for node in graph.nodes}
-    for edge in edges:
-        if pot[edge.src] + reduced(edge) == pot[edge.dst]:
-            tight[edge.src].append(edge)
+    for edge in _tight_edges(graph, weight, mean, time):
+        tight[edge.src].append(edge)
 
     # Iterative DFS for a cycle among tight edges.
     color: dict[Hashable, int] = {}  # 0 absent, 1 on stack, 2 done
@@ -244,49 +279,15 @@ def critical_edges(
     Unlike enumerating all critical cycles (potentially exponential),
     this runs in O(nm) and is what the bottleneck reports use.
     """
-    p, q = mean.numerator, mean.denominator
-
-    def reduced(edge: Edge) -> int:
-        return q * weight(edge) - p * time(edge)
-
-    pot: dict[Hashable, int] = {node: 0 for node in graph.nodes}
-    edges = list(graph.edges)
-    for _ in range(graph.number_of_nodes()):
-        changed = False
-        for edge in edges:
-            cand = pot[edge.src] + reduced(edge)
-            if cand < pot[edge.dst]:
-                pot[edge.dst] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise ValueError("negative cycle: supplied mean is not minimal")
-
-    tight = [
-        edge
-        for edge in edges
-        if pot[edge.src] + reduced(edge) == pot[edge.dst]
-    ]
+    tight = _tight_edges(graph, weight, mean, time)
     tight_graph = graph.edge_subgraph([e.key for e in tight])
-    out: set[int] = set()
-    for component in strongly_connected_components(tight_graph):
-        members = set(component)
-        if len(members) == 1:
-            node = component[0]
-            # A tight self-loop is its own critical cycle.
-            out.update(
-                e.key
-                for e in tight_graph.out_edges(node)
-                if e.dst == node
-            )
-            continue
-        out.update(
-            e.key
-            for e in tight
-            if e.src in members and e.dst in members
-        )
-    return out
+    component_of: dict[Hashable, int] = {}
+    for i, component in enumerate(strongly_connected_components(tight_graph)):
+        for node in component:
+            component_of[node] = i
+    # An edge inside one component closes a cycle with a tight path
+    # back; a tight self-loop is its own critical cycle.
+    return {e.key for e in tight if component_of[e.src] == component_of[e.dst]}
 
 
 def minimum_cycle_mean(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping
+from typing import Hashable
 
 from ..core.lis_graph import LisGraph
 from ..lis.rtl_sim import RtlSimulator

@@ -73,7 +73,6 @@ def test_greedy_always_feasible(inst):
 
 
 def test_critical_edges_brute_force_agreement():
-    import itertools
     import random
 
     rng = random.Random(5)

@@ -1,7 +1,5 @@
 """Tests for the Vertex-Cover -> Queue-Sizing reduction (Section V)."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

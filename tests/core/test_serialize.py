@@ -2,8 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
 from repro.core import LisGraph, actual_mst, ideal_mst
 from repro.core.serialize import (
     lis_from_json,

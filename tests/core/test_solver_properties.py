@@ -1,7 +1,5 @@
 """Cross-solver properties on randomly generated whole systems."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -11,7 +11,6 @@ from repro.core import (
     LisGraph,
     QsSolution,
     actual_mst,
-    build_td_instance,
     fixed_qs_mst,
     fixed_qs_profile,
     get_solver,

@@ -12,7 +12,6 @@ from repro.core import (
     cycle_time,
     degradation_ratio,
     ideal_mst,
-    mst,
     mst_per_scc,
 )
 from repro.gen import (

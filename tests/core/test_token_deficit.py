@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import (
     InfeasibleError,
-    LisGraph,
     TokenDeficitInstance,
     build_td_instance,
 )

@@ -3,8 +3,6 @@ byte-for-byte identical resumed sweeps."""
 
 import json
 
-import pytest
-
 from repro.engine import AnalysisEngine, Checkpoint, run_checkpointed, task_key
 from repro.gen.examples import fig15_lis, ring_lis
 

@@ -54,6 +54,17 @@ def test_lru_cache_evicts_oldest():
     assert "b" not in cache and "a" in cache and "c" in cache
 
 
+def test_lru_cache_returns_fresh_copies():
+    cache = LruCache(maxsize=2)
+    value = {"slack": {1: 2}}
+    cache.put("a", value)
+    value["slack"].clear()  # the stored entry is already bytes...
+    first = cache.get("a")
+    assert first == {"slack": {1: 2}}
+    first["slack"][3] = 4  # ...and each get is the caller's own
+    assert cache.get("a") == {"slack": {1: 2}}
+
+
 # -- hit/miss accounting ----------------------------------------------------
 
 
@@ -105,6 +116,15 @@ def test_cached_results_are_isolated_copies():
         first.slack.clear()  # caller mangles its copy...
         second = eng.analyze(lis)
         assert second.slack  # ...the cache is unharmed
+
+
+def test_coalesced_duplicates_are_isolated_copies():
+    lis = fig1_lis()
+    with AnalysisEngine() as eng:
+        first, second = eng.map("analyze", [lis, lis])
+        assert eng.stats.ops["analyze"].coalesced == 1
+        first.slack.clear()
+        assert second.slack
 
 
 # -- serial == parallel == cached ------------------------------------------

@@ -150,7 +150,6 @@ def test_generator_postconditions(v, s, c, rs, rp, seed):
     assert len(nontrivial_sccs(lis)) == s
     assert lis.total_relays() == rs
     # The system is weakly connected (the auxiliary graph is connected).
-    from repro.graphs import reachable_from
     from repro.graphs.biconnected import undirected_adjacency
 
     adj = undirected_adjacency(lis.system)

@@ -2,21 +2,25 @@
 
 import contextlib
 import signal
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import Context
+from repro.core import analyze
 from repro.core.marked_graph import place_tokens
 from repro.core.throughput import ideal_mst, ideal_mst_compact
-from repro.gen import mesh_lis
+from repro.gen import GeneratorConfig, fig15_lis, generate_lis, mesh_lis
 from repro.graphs import (
     Digraph,
     critical_cycle,
     elementary_edge_cycles,
     howard_minimum_cycle_mean,
     karp_minimum_cycle_mean,
+    mcm,
     minimum_cycle_mean,
 )
 from tests.strategies import weighted_digraphs
@@ -112,9 +116,11 @@ def test_cycle_mean_result_tokens_property():
     assert result.tokens == 2
 
 
-@given(weighted_digraphs())
+@given(weighted_digraphs(min_weight=-4))
 @settings(max_examples=80)
 def test_karp_matches_brute_force(g):
+    """Negative weights give negative candidate numerators: Karp's
+    cross-multiplied comparisons must still order them exactly."""
     assert karp_minimum_cycle_mean(g, W) == brute_force_mcm(g)
 
 
@@ -194,3 +200,51 @@ def test_howard_matches_karp_on_meshes_with_relays(shape, relays, seed, torus):
         with _deadline(5.0):
             mean = howard_minimum_cycle_mean(marked.graph, place_tokens)
         assert mean == karp_minimum_cycle_mean(marked.graph, place_tokens)
+
+
+# ----------------------------------------------------------------------
+# Karp on Table-IV doubled graphs (one SCC of 110-210 nodes each)
+# ----------------------------------------------------------------------
+#: (v, s, seed) -> practical MST of ``generate_lis(v, s, c=5, rs=10)``.
+TABLE_IV_DOUBLED_MST = {
+    (100, 10, 1): Fraction(10, 11),
+    (100, 10, 2): Fraction(14, 17),
+    (100, 10, 3): Fraction(8, 11),
+    (100, 20, 1): Fraction(17, 23),
+    (100, 20, 2): Fraction(11, 13),
+    (100, 20, 3): Fraction(5, 6),
+    (200, 10, 1): Fraction(6, 7),
+    (200, 10, 2): Fraction(26, 27),
+    (200, 10, 3): Fraction(17, 21),
+}
+
+
+@pytest.mark.parametrize("v, s, seed", sorted(TABLE_IV_DOUBLED_MST))
+def test_karp_matches_howard_and_golden_on_table_iv_doubled_graphs(v, s, seed):
+    lis = generate_lis(GeneratorConfig(v=v, s=s, c=5, rs=10, seed=seed))
+    graph = lis.doubled_marked_graph().graph
+    karp = karp_minimum_cycle_mean(graph, place_tokens)
+    assert karp == howard_minimum_cycle_mean(graph, place_tokens)
+    assert karp == TABLE_IV_DOUBLED_MST[v, s, seed]
+
+
+def test_fresh_context_analyze_runs_karp_three_times(monkeypatch):
+    """Ideal MST, practical MST and the sized system's MST; the
+    bottleneck report reuses the memoized practical MST."""
+    original = mcm.karp_minimum_cycle_mean
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    # ``from ... import`` copies the name: patch every holder.
+    for module in list(sys.modules.values()):
+        if not getattr(module, "__name__", "").startswith("repro"):
+            continue
+        if getattr(module, "karp_minimum_cycle_mean", None) is original:
+            monkeypatch.setattr(module, "karp_minimum_cycle_mean", counting)
+    report = analyze(Context(fig15_lis()))
+    assert (report.ideal, report.practical) == (Fraction(5, 6), Fraction(3, 4))
+    assert report.bottlenecks
+    assert len(calls) == 3

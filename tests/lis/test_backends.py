@@ -13,7 +13,6 @@ from repro.faults import build_schedule, random_stalls
 from repro.gen import fig15_lis
 from repro.lis import (
     BACKENDS,
-    Backend,
     available_backends,
     crossvalidate,
     get_backend,

@@ -16,7 +16,6 @@ from repro.server import (
     AnalysisServer,
     ServerClient,
     ServerConfig,
-    ServerError,
 )
 from repro.server.coalesce import InflightEntry
 from repro.server.pool import ShardPool

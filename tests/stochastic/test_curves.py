@@ -7,7 +7,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis import get_context
 from repro.engine import AnalysisEngine
 from repro.gen import fig15_lis
 from repro.stochastic import (

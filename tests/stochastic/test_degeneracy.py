@@ -11,9 +11,10 @@ deterministic toolchain exactly when the randomness does.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from repro.analysis import get_context
+from repro.core import LisGraph
 from repro.gen import fig15_lis
 from repro.lis import RtlSimulator, TraceSimulator, get_backend
 from repro.sim import FastSimulator
@@ -68,20 +69,38 @@ def test_zero_variance_trials_equal_reference_sim(lis, spec):
     assert int(mc.occupancy[0]) == (max(occ.values()) if occ else 0)
 
 
+def _late_peak_system():
+    """Transient 53, hyperperiod 3: its peak occupancy (4) is not
+    reached within the default 40-clock horizon."""
+    lis = LisGraph()
+    for shell in ("s0", "s1", "s2", "s3"):
+        lis.add_shell(shell)
+    lis.add_channel("s0", "s0", relays=2)
+    lis.add_channel("s3", "s1", queue=3)
+    lis.add_channel("s3", "s2", relays=1)
+    lis.add_channel("s0", "s1")
+    lis.add_channel("s2", "s3", relays=2)
+    return lis
+
+
 @given(lis=lis_graphs(max_shells=4, max_channels=6, max_relays=2))
+@example(lis=_late_peak_system())
 @settings(max_examples=40, deadline=None)
 def test_zero_stalls_reproduce_schedule_oracle(lis):
     """rate-0 Bernoulli is the deterministic system: counts, rates and
-    peak occupancy must equal the analytic oracle exactly."""
+    peak occupancy must equal the analytic oracle exactly.  The peak
+    is only reached once the horizon covers the oracle's transient
+    and one hyperperiod, so the run lasts at least that long."""
     assume(get_backend("schedule").supports(lis))
     ctx = get_context(lis)
     spec = bernoulli_stalls(rate=0.0, scope="global")
-    mc = run_monte_carlo(ctx, spec, clocks=CLOCKS, trials=2)
     oracle = ctx.schedule_oracle()
-    expected = oracle.firings(mc.node, CLOCKS)
+    clocks = max(CLOCKS, oracle.transient + oracle.hyperperiod)
+    mc = run_monte_carlo(ctx, spec, clocks=clocks, trials=2)
+    expected = oracle.firings(mc.node, clocks)
     assert [int(c) for c in mc.counts] == [expected, expected]
     assert all(
-        rate == expected / CLOCKS for rate in mc.throughput.tolist()
+        rate == expected / clocks for rate in mc.throughput.tolist()
     )
     occ = oracle.max_queue_occupancy()
     assert int(mc.occupancy[0]) == (max(occ.values()) if occ else 0)

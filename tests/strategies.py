@@ -58,11 +58,14 @@ def digraphs(
 
 
 @st.composite
-def weighted_digraphs(draw, max_nodes: int = 7, max_edges: int = 16):
-    """A random Digraph whose edges carry small non-negative int weights."""
+def weighted_digraphs(
+    draw, max_nodes: int = 7, max_edges: int = 16, min_weight: int = 0
+):
+    """A random Digraph whose edges carry small int weights in
+    ``[min_weight, 4]`` (non-negative by default)."""
     g = draw(digraphs(max_nodes=max_nodes, max_edges=max_edges))
     for edge in g.edges:
-        edge.data["w"] = draw(st.integers(min_value=0, max_value=4))
+        edge.data["w"] = draw(st.integers(min_value=min_weight, max_value=4))
     return g
 
 

@@ -6,9 +6,6 @@ and the CLI -- the way a real user session would, catching interface
 drift that unit tests cannot see.
 """
 
-import json
-from fractions import Fraction
-
 from repro.core import (
     actual_mst,
     analyze,
