@@ -18,7 +18,10 @@ derived artifact, computed at most once per content fingerprint:
   Context identity agree;
 * marked graphs are handed out as **defensive copies** (their
   ``Edge.data`` token dicts are mutable, and simulators mutate them),
-  so no caller can poison the cached masters;
+  so no caller can poison the cached masters; read-only analyses
+  (slack, bottlenecks, the sizing check) borrow the masters
+  themselves through :meth:`Context.ideal_master` and
+  :meth:`Context.doubled_master`;
 * one structural cycle enumeration serves *every* extra-token variant:
   the doubled graph's elementary cycles do not depend on token counts,
   and a queue-sizing assignment adds ``extra[c]`` tokens to a cycle
@@ -35,7 +38,6 @@ artifact construction) and across engine ops in one worker process
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from dataclasses import replace
@@ -53,6 +55,7 @@ from ..core.lis_graph import LisError, LisGraph
 from ..core.marked_graph import MarkedGraph
 from ..core.serialize import lis_fingerprint, lis_from_json, lis_to_json
 from ..core.throughput import ThroughputResult, mst
+from ..graphs import Edge
 from ..obs import Counters, render
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -128,13 +131,29 @@ def _extra_key(
     )
 
 
+def _own_witness(result: ThroughputResult) -> ThroughputResult:
+    """``result`` with a witness cycle of fresh :class:`Edge` objects
+    and data dicts: the memoized one aliases the master graph's
+    places."""
+    if result.critical is None:
+        return result
+    return replace(
+        result,
+        critical=[
+            Edge(place.key, place.src, place.dst, dict(place.data))
+            for place in result.critical
+        ],
+    )
+
+
 class Context:
     """An immutable analysis context over one LIS content fingerprint.
 
     The constructor snapshots ``lis`` (a frozen private copy), so later
     mutation of the caller's graph cannot desynchronize the fingerprint
     from the cached artifacts.  All artifact methods are memoized and
-    thread-safe; marked graphs come back as defensive copies.
+    thread-safe; marked graphs come back as defensive copies (the
+    ``*_master`` methods lend the cached ones to read-only code).
 
     A Context also exposes the read-only :class:`LisGraph` surface
     (``system``, ``channels()``, ``latency()``, ...), so graph-reading
@@ -210,12 +229,17 @@ class Context:
     # ------------------------------------------------------------------
     # Marked-graph lowerings
     # ------------------------------------------------------------------
-    def _ideal_master(self) -> MarkedGraph:
+    def ideal_master(self) -> MarkedGraph:
+        """The cached ideal lowering itself (Section III-A), shared
+        with every other reader of this context: read it, never mutate
+        it.  :meth:`ideal_marked_graph` hands out a private copy."""
         return self._memo("ideal_mg", (), self.lis.ideal_marked_graph)
 
-    def _doubled_master(
+    def doubled_master(
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
+        """The cached doubled lowering itself (III-B), one per distinct
+        extra-token assignment; shared like :meth:`ideal_master`."""
         key = _extra_key(extra_tokens, self._channel_ids)
         return self._memo(
             "doubled_mg", key, lambda: self.lis.doubled_marked_graph(dict(key))
@@ -223,29 +247,25 @@ class Context:
 
     def ideal_marked_graph(self) -> MarkedGraph:
         """A defensive copy of the cached ideal lowering (Section III-A)."""
-        return self._ideal_master().copy()
+        return self.ideal_master().copy()
 
     def doubled_marked_graph(
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
         """A defensive copy of the cached doubled lowering (III-B),
         one master per distinct extra-token assignment."""
-        return self._doubled_master(extra_tokens).copy()
+        return self.doubled_master(extra_tokens).copy()
 
-    def sizable_backedges(self, mg: MarkedGraph | None = None) -> dict[int, int]:
+    def sizable_backedges(self) -> dict[int, int]:
         """Channel id -> place key of its shell-side backedge.
 
         Place keys are construction-order deterministic, so the mapping
-        is the same for every doubled lowering of this fingerprint; a
-        caller-supplied ``mg`` (the old call form) is accepted and
-        resolved directly.
+        is the same for every doubled lowering of this fingerprint.
         """
-        if mg is not None:
-            return self.lis.sizable_backedges(mg)
         with self._lock:
             if self._sizable is None:
                 self._sizable = self.lis.sizable_backedges(
-                    self._doubled_master()
+                    self.doubled_master()
                 )
             return dict(self._sizable)
 
@@ -254,19 +274,20 @@ class Context:
     # ------------------------------------------------------------------
     def ideal_mst(self) -> ThroughputResult:
         """Cached :func:`repro.core.ideal_mst` (III-C on the ideal MG)."""
-        result = self._memo("ideal_mst", (), lambda: mst(self._ideal_master()))
-        # The witness cycle aliases the master graph's Edge objects.
-        return copy.deepcopy(result)
+        return _own_witness(
+            self._memo("ideal_mst", (), lambda: mst(self.ideal_master()))
+        )
 
     def actual_mst(
         self, extra_tokens: dict[int, int] | None = None
     ) -> ThroughputResult:
         """Cached :func:`repro.core.actual_mst` per extra-token key."""
         key = _extra_key(extra_tokens, self._channel_ids)
-        result = self._memo(
-            "actual_mst", key, lambda: mst(self._doubled_master(extra_tokens))
+        return _own_witness(
+            self._memo(
+                "actual_mst", key, lambda: mst(self.doubled_master(extra_tokens))
+            )
         )
-        return copy.deepcopy(result)
 
     # ------------------------------------------------------------------
     # Cycle enumeration (one structural pass serves every variant)
@@ -277,7 +298,7 @@ class Context:
         records = self._memo(
             "cycles",
             (),
-            lambda: cycle_records(self._doubled_master(), max_cycles=max_cycles),
+            lambda: cycle_records(self.doubled_master(), max_cycles=max_cycles),
         )
         if max_cycles is not None and len(records) > max_cycles:
             raise CycleExplosionError(
@@ -391,7 +412,7 @@ class Context:
         from ..sim.compile import compile_lis
 
         return self._memo(
-            "compiled", (), lambda: compile_lis(self.lis, mg=self._doubled_master())
+            "compiled", (), lambda: compile_lis(self.lis, mg=self.doubled_master())
         )
 
     def schedule_oracle(

@@ -123,16 +123,21 @@ class CollapseError(Exception):
 
 
 def is_collapsible(lis: LisGraph) -> bool:
-    """True when rule 4 applies: relay stations only between SCCs.
+    """True when rule 4 applies: relay stations only between SCCs, and
+    no pipelined core.
 
-    The simplification is exact when all baseline queues are one (the
-    usual starting point of queue sizing); with larger baseline queues
-    it remains sound but may over-estimate deficits.
+    A core of latency L carries L - 1 internal stages, which act like
+    relay stations on every path through it; contracting its SCC
+    would drop them, so a reconvergence through a pipelined core could
+    look balanced when it is not.  The simplification is exact when
+    all baseline queues are one (the usual starting point of queue
+    sizing); with larger baseline queues it remains sound but may
+    over-estimate deficits.
     """
     return relay_placement(lis) in (
         RelayPlacement.NONE,
         RelayPlacement.INTER_SCC,
-    )
+    ) and all(lis.latency(shell) == 1 for shell in lis.shells())
 
 
 def collapse_sccs(lis: LisGraph) -> tuple[LisGraph, dict[int, int]]:
@@ -145,11 +150,13 @@ def collapse_sccs(lis: LisGraph) -> tuple[LisGraph, dict[int, int]]:
     ``channel_map`` and is a valid (and, for q = 1 baselines, optimal)
     solution of the original.
 
-    Raises :class:`CollapseError` if relay stations exist inside SCCs.
+    Raises :class:`CollapseError` if relay stations exist inside SCCs
+    or a core is pipelined (see :func:`is_collapsible`).
     """
     if not is_collapsible(lis):
         raise CollapseError(
-            "SCC collapse requires relay stations only on inter-SCC channels"
+            "SCC collapse requires relay stations only on inter-SCC "
+            "channels and no pipelined cores"
         )
     mapping = scc_of(lis.system)
     collapsed = LisGraph(default_queue=lis.default_queue)

@@ -106,7 +106,8 @@ def analyze(
     Accepts a :class:`LisGraph` or an :class:`repro.analysis.Context`;
     a plain graph is wrapped in a shared context so the report's MSTs,
     bottlenecks, slack and sizing fix all work off one pair of
-    lowerings and one cycle enumeration.
+    lowerings and one cycle enumeration.  ``max_cycles`` bounds the
+    queue-sizing enumeration; slack enumerates nothing.
     """
     from ..analysis import get_context
 
@@ -129,6 +130,6 @@ def analyze(
         practical=practical.mst,
         critical_path=critical_path,
         bottlenecks=frozenset(bottleneck_channels(ctx)),
-        slack=pipelining_slack(ctx, max_cycles=max_cycles),
+        slack=pipelining_slack(ctx),
         fix=fix,
     )

@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..cycles import collapse_sccs, is_collapsible
+from ...graphs.mcm import potentials, reduced_arcs
+from ..cycles import is_collapsible
 from ..lis_graph import LisGraph
 from ..throughput import actual_mst, ideal_mst
 from ..token_deficit import build_td_instance
@@ -64,6 +65,31 @@ class QsSolution:
         return 1
 
 
+def _sized_mst(ctx, extra_tokens: dict[int, int]) -> Fraction:
+    """The MST of ``ctx`` with ``extra_tokens`` added to its queues.
+
+    The doubled graph holds every ideal-graph place with the same
+    tokens, and sizing adds tokens to backedges only, so the sized MST
+    never exceeds the ideal MST.  One Bellman--Ford pass over the
+    cached base lowering, with the extra tokens on the sizable
+    backedges, shows whether any cycle falls below the ideal MST; when
+    none does, the sized MST *is* the ideal MST.  Only a system left
+    short of it (a solver miss, or a target below the ideal) is
+    lowered again and run through Karp.
+    """
+    ideal = ideal_mst(ctx).mst
+    backedges = ctx.sizable_backedges()
+    extra = {backedges[cid]: tokens for cid, tokens in extra_tokens.items()}
+    index, arcs = reduced_arcs(
+        ctx.doubled_master().graph,
+        lambda place: place.data["tokens"] + extra.get(place.key, 0),
+        ideal,
+    )
+    if potentials(len(index), arcs) is not None:
+        return ideal
+    return actual_mst(ctx, extra_tokens).mst
+
+
 def size_queues(
     lis: LisGraph,
     method: str = "heuristic",
@@ -76,11 +102,12 @@ def size_queues(
     """Size the queues of ``lis`` to eliminate MST degradation.
 
     Args:
-        lis: The system (queues as configured form the baseline) -- a
-            :class:`LisGraph`, or an :class:`repro.analysis.Context` so
-            that multi-solver comparisons share one cycle enumeration
-            (the ideal MST, the collapse, and the verification lowering
-            are then all served from the context's artifact cache).
+        lis: The system (queues as configured form the baseline) -- an
+            :class:`repro.analysis.Context`, so that multi-solver
+            comparisons share one cycle enumeration (the ideal MST, the
+            collapse, and the base lowering the verification reads are
+            all served from the context's artifact cache), or a
+            :class:`LisGraph`, wrapped in a private context.
         method: A registered solver name -- ``"heuristic"`` (Section
             VII-B descent), ``"greedy"`` (set-cover marginal coverage),
             ``"exact"`` (binary search + branch and bound), ``"milp"``
@@ -95,17 +122,24 @@ def size_queues(
         timeout: Wall-clock budget for timeout-aware solvers.
         max_cycles: Cycle-enumeration budget (raises
             :class:`~repro.graphs.CycleExplosionError` beyond it).
-        verify: Re-analyze the doubled graph with the solution applied
-            and record the achieved MST (cheap; disable only in tight
-            benchmarking loops).
+        verify: Record the MST achieved with the solution applied:
+            one Bellman--Ford pass, plus Karp on the sized lowering
+            only when it falls short of the ideal MST (disable only in
+            tight benchmarking loops).
 
     Returns:
         A :class:`QsSolution` whose ``extra_tokens`` refer to channels
         of the input system.
     """
+    from ...analysis import Context, ContextStats
+
     solver = get_solver(method)
     if collapse not in ("auto", "never", "always"):
         raise ValueError(f"unknown collapse mode {collapse!r}")
+    if not isinstance(lis, Context):
+        # A private context with its own counters: one base lowering
+        # serves the instance and the verification.
+        lis = Context(lis, stats=ContextStats())
 
     goal = target if target is not None else ideal_mst(lis).mst
     if not 0 < goal <= 1:
@@ -120,10 +154,7 @@ def size_queues(
     channel_map: dict[int, int] | None = None
     work = lis
     if use_collapse:
-        if hasattr(lis, "collapsed"):  # a repro.analysis.Context
-            work, channel_map = lis.collapsed()
-        else:
-            work, channel_map = collapse_sccs(lis)
+        work, channel_map = lis.collapsed()
 
     t0 = time.monotonic()
     instance = build_td_instance(
@@ -137,7 +168,7 @@ def size_queues(
     if channel_map is not None:
         merged = {channel_map[cid]: tokens for cid, tokens in merged.items()}
 
-    achieved = actual_mst(lis, merged).mst if verify else goal
+    achieved = _sized_mst(lis, merged) if verify else goal
     return QsSolution(
         extra_tokens=merged,
         cost=sum(merged.values()),

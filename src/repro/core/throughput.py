@@ -48,8 +48,8 @@ class ThroughputResult:
         critical: One critical cycle (list of places) when the MST is
             below 1, else ``None``.  The cycle's token/place ratio
             equals ``mst``.
-        limiting_scc: Nodes of the SCC containing the critical cycle,
-            when one exists.
+        limiting_scc: The transitions of the witness critical cycle
+            (``critical``), when one exists -- not its whole SCC.
     """
 
     mst: Fraction
@@ -159,11 +159,16 @@ def bottleneck_channels(
     rate 1.
     """
     # The MST is the minimum cycle mean whenever it is below 1; a
-    # Context serves it from its memo instead of re-running Karp.
+    # Context serves it, and its doubled lowering, from its memo
+    # instead of re-running Karp on a copy.
     mean = actual_mst(lis, extra_tokens).mst
     if mean >= ONE:
         return set()
-    mg = lis.doubled_marked_graph(extra_tokens)
+    mg = (
+        lis.doubled_master(extra_tokens)
+        if hasattr(lis, "doubled_master")
+        else lis.doubled_marked_graph(extra_tokens)
+    )
     keys = critical_edges(mg.graph, place_tokens, mean)
     channels: set[int] = set()
     for key in keys:

@@ -40,6 +40,8 @@ __all__ = [
     "minimum_cycle_ratio",
     "critical_cycle",
     "critical_edges",
+    "reduced_arcs",
+    "potentials",
 ]
 
 WeightFn = Callable[[Edge], int]
@@ -169,26 +171,33 @@ def karp_minimum_cycle_mean(
     return best
 
 
-def _tight_edges(
-    graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn
-) -> list[Edge]:
-    """Edges tight under Bellman--Ford potentials of the reduced
-    weights ``q*w(e) - p*t(e)`` for ``mean = p/q``, in edge order; the
-    shared core of :func:`critical_cycle` and :func:`critical_edges`.
-
-    ``ValueError`` when relaxation does not settle (``mean`` is not
-    minimal).
+def reduced_arcs(
+    graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn = _unit_time
+) -> tuple[dict[Hashable, int], list[tuple[int, int, int]]]:
+    """The graph under the reduced weights ``q*w(e) - p*t(e)`` for
+    ``mean = p/q``: the node index (``graph.nodes`` order) and one arc
+    ``(src index, dst index, reduced weight)`` per edge, in
+    ``graph.edges`` order.  A cycle's reduced weight is negative
+    exactly when its ratio is below ``mean``.
     """
     p, q = mean.numerator, mean.denominator
     index = {node: i for i, node in enumerate(graph.nodes)}
-    edges = list(graph.edges)
     arcs = [
         (index[edge.src], index[edge.dst], q * weight(edge) - p * time(edge))
-        for edge in edges
+        for edge in graph.edges
     ]
-    # Distances from a virtual source with a 0-weight edge to each node.
-    pot = [0] * len(index)
-    for _ in range(len(index)):
+    return index, arcs
+
+
+def potentials(n: int, arcs: list[tuple[int, int, int]]) -> list[int] | None:
+    """Bellman--Ford distances over ``n`` nodes from a virtual source
+    with a 0-weight arc to each node, or ``None`` when some cycle has
+    negative weight.  Every arc ``(u, v, w)`` then satisfies
+    ``pot[u] + w >= pot[v]``: the potentials make all weights
+    non-negative (Johnson's reweighting).
+    """
+    pot = [0] * n
+    for _ in range(n + 1):
         changed = False
         for u, v, w in arcs:
             cand = pot[u] + w
@@ -196,11 +205,28 @@ def _tight_edges(
                 pot[v] = cand
                 changed = True
         if not changed:
-            break
-    else:
+            return pot
+    return None
+
+
+def _tight_edges(
+    graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn
+) -> list[Edge]:
+    """Edges tight under the :func:`potentials` of the reduced weights
+    for ``mean``, in edge order; the shared core of
+    :func:`critical_cycle` and :func:`critical_edges`.
+
+    ``ValueError`` when relaxation does not settle (``mean`` is not
+    minimal).
+    """
+    index, arcs = reduced_arcs(graph, weight, mean, time)
+    pot = potentials(len(index), arcs)
+    if pot is None:
         raise ValueError("negative cycle: supplied mean is not minimal")
     return [
-        edge for edge, (u, v, w) in zip(edges, arcs) if pot[u] + w == pot[v]
+        edge
+        for edge, (u, v, w) in zip(graph.edges, arcs)
+        if pot[u] + w == pot[v]
     ]
 
 

@@ -108,12 +108,13 @@ def select_probe_shell(
 
     Prefers a *shell* on the limiting critical cycle (its rate is
     pinned to the MST even before the rest of the system settles):
-    the first member of the limiting SCC, in ``repr`` order, that is a
-    node of ``lis.system`` -- relay stations and pipeline stages are
-    implementation detail, not system nodes.  When the limiting SCC
-    holds no shell -- possible on heavily pipelined degenerate cycles
-    -- its first member in ``repr`` order is probed; with no limiting
-    SCC at all (MST = 1) any shell does.  The choice never depends on
+    the first transition of that witness cycle
+    (``analysis.limiting_scc``), in ``repr`` order, that is a node of
+    ``lis.system`` -- relay stations and pipeline stages are
+    implementation detail, not system nodes.  When the cycle holds no
+    shell -- possible on heavily pipelined degenerate cycles -- its
+    first transition in ``repr`` order is probed; with no critical
+    cycle at all (MST = 1) any shell does.  The choice never depends on
     set iteration order, so results keyed by content are the same in
     every process.
     """

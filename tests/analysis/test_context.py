@@ -130,10 +130,10 @@ def test_counters_report_single_lowering_across_consumers():
     assert solution.extra_tokens == {1: 1}
     assert stats.count("ideal_mg", "miss") == 1
     assert stats.count("cycles", "miss") == 1
-    # Three *distinct* doubled contents, each lowered exactly once:
-    # the base marking, the rule-4 collapsed system, and the
-    # solution-verification marking.
-    assert stats.count("doubled_mg", "miss") == 3
+    # Two *distinct* doubled contents, each lowered exactly once: the
+    # base marking and the rule-4 collapsed system.  The solution is
+    # verified on the base marking, so the sized one is never lowered.
+    assert stats.count("doubled_mg", "miss") == 2
     # Re-running the whole bundle computes nothing new.
     before = {
         k: v for k, v in stats.snapshot().items() if k.endswith(".miss")

@@ -13,6 +13,7 @@ from repro.core import (
     deficient_cycles,
     ideal_mst,
     is_collapsible,
+    size_queues,
 )
 from repro.core.cycles import total_extra_tokens
 from repro.gen import fig1_lis, fig15_lis, ring_lis
@@ -61,6 +62,23 @@ def test_is_collapsible():
     assert is_collapsible(fig1_lis())  # trivial SCCs, inter-SCC relay
     assert not is_collapsible(ring_lis(3, relays=1))  # intra-SCC relay
     assert is_collapsible(ring_lis(3))  # no relays at all
+
+
+def test_pipelined_core_blocks_the_collapse():
+    """A latency-2 core on one branch of a reconvergence acts as a
+    relay station; the collapse would drop it, size nothing, and leave
+    the system at 3/4."""
+    lis = LisGraph()
+    lis.add_shell("b", latency=2)
+    lis.add_channel("a", "b")
+    short = lis.add_channel("a", "c")
+    lis.add_channel("b", "c")
+    assert not is_collapsible(lis)
+    with pytest.raises(CollapseError):
+        collapse_sccs(lis)
+    solution = size_queues(lis)
+    assert solution.extra_tokens == {short: 1}
+    assert solution.achieved == solution.target == 1
 
 
 def test_collapse_requires_inter_scc_relays():
