@@ -56,6 +56,7 @@ from ..core.marked_graph import MarkedGraph
 from ..core.serialize import lis_fingerprint, lis_from_json, lis_to_json
 from ..core.throughput import ThroughputResult, mst
 from ..graphs import Edge
+from ..graphs.mcm import potentials, reduced_arcs
 from ..obs import Counters, render
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -149,11 +150,14 @@ def _own_witness(result: ThroughputResult) -> ThroughputResult:
 class Context:
     """An immutable analysis context over one LIS content fingerprint.
 
-    The constructor snapshots ``lis`` (a frozen private copy), so later
-    mutation of the caller's graph cannot desynchronize the fingerprint
-    from the cached artifacts.  All artifact methods are memoized and
-    thread-safe; marked graphs come back as defensive copies (the
-    ``*_master`` methods lend the cached ones to read-only code).
+    The constructor snapshots a mutable ``lis`` (a frozen private
+    copy), so later mutation of the caller's graph cannot desynchronize
+    the fingerprint from the cached artifacts; a frozen ``lis`` cannot
+    change and is shared as is.  The canonical JSON text and the
+    fingerprint are computed on first use.  All artifact methods are
+    memoized and thread-safe; marked graphs come back as defensive
+    copies (the ``*_master`` methods lend the cached ones to read-only
+    code).
 
     A Context also exposes the read-only :class:`LisGraph` surface
     (``system``, ``channels()``, ``latency()``, ...), so graph-reading
@@ -163,15 +167,24 @@ class Context:
     def __init__(self, lis: LisGraph, stats: ContextStats | None = None) -> None:
         if isinstance(lis, Context):  # idempotent construction
             lis = lis.lis
-        self.lis: LisGraph = lis.copy().freeze()
-        self.lis_json: str = lis_to_json(self.lis)
-        self.fingerprint: str = lis_fingerprint(self.lis_json)
+        self.lis: LisGraph = lis if lis.frozen else lis.copy().freeze()
         self.stats = stats if stats is not None else _GLOBAL_STATS
         self._lock = threading.RLock()
         self._channel_ids = set(self.lis.channel_ids())
         #: Built artifacts by ``(artifact, key)`` (see :meth:`_memo`).
         self._artifacts: dict[tuple[str, Hashable], Any] = {}
         self._sizable: dict[int, int] | None = None
+
+    @property
+    def lis_json(self) -> str:
+        """The canonical JSON text (:func:`~repro.core.serialize.lis_to_json`),
+        written on first use and then kept by the frozen graph."""
+        return lis_to_json(self.lis)
+
+    @property
+    def fingerprint(self) -> str:
+        """SHA-256 of :attr:`lis_json`, computed on first use."""
+        return self.lis.fingerprint()
 
     # ------------------------------------------------------------------
     # Read-only LisGraph surface (duck-typed pass-throughs)
@@ -208,6 +221,9 @@ class Context:
     def total_relays(self) -> int:
         return self.lis.total_relays()
 
+    def scc_map(self) -> dict[Hashable, int]:
+        return self.lis.scc_map()
+
     def copy(self) -> LisGraph:
         """A *mutable* clone of the underlying LIS (leaves the context)."""
         return self.lis.copy()
@@ -239,10 +255,16 @@ class Context:
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
         """The cached doubled lowering itself (III-B), one per distinct
-        extra-token assignment; shared like :meth:`ideal_master`."""
+        extra-token assignment; shared like :meth:`ideal_master`.  Each
+        is built on a copy of the cached ideal lowering (whose hit or
+        miss ``ideal_mg`` counts)."""
         key = _extra_key(extra_tokens, self._channel_ids)
         return self._memo(
-            "doubled_mg", key, lambda: self.lis.doubled_marked_graph(dict(key))
+            "doubled_mg",
+            key,
+            lambda: self.lis.doubled_marked_graph(
+                dict(key), ideal=self.ideal_master()
+            ),
         )
 
     def ideal_marked_graph(self) -> MarkedGraph:
@@ -288,6 +310,38 @@ class Context:
                 "actual_mst", key, lambda: mst(self.doubled_master(extra_tokens))
             )
         )
+
+    def sized_mst(self, extra_tokens: dict[int, int] | None = None) -> Fraction:
+        """The MST with ``extra_tokens`` added to the queues, cached per
+        extra-token key: the check :func:`repro.core.size_queues` runs
+        on its solution.
+
+        The doubled graph holds every ideal-graph place with the same
+        tokens, and sizing adds tokens to backedges only, so the sized
+        MST never exceeds the ideal MST.  One Bellman--Ford pass over
+        the cached base lowering, with the extra tokens on the sizable
+        backedges, shows whether any cycle falls below the ideal MST;
+        when none does, the sized MST *is* the ideal MST.  Only a
+        system left short of it (a solver miss, or a target below the
+        ideal) is lowered again and run through Karp
+        (:meth:`actual_mst`).
+        """
+        key = _extra_key(extra_tokens, self._channel_ids)
+
+        def check() -> Fraction:
+            ideal = self.ideal_mst().mst
+            backedges = self.sizable_backedges()
+            extra = {backedges[cid]: tokens for cid, tokens in key}
+            index, arcs = reduced_arcs(
+                self.doubled_master().graph,
+                lambda place: place.data["tokens"] + extra.get(place.key, 0),
+                ideal,
+            )
+            if potentials(len(index), arcs) is not None:
+                return ideal
+            return self.actual_mst(dict(key)).mst
+
+        return self._memo("sized_mst", key, check)
 
     # ------------------------------------------------------------------
     # Cycle enumeration (one structural pass serves every variant)
@@ -402,7 +456,7 @@ class Context:
 
         def build() -> tuple[Context, dict[int, int]]:
             collapsed_lis, channel_map = collapse_sccs(self.lis)
-            return Context(collapsed_lis, stats=self.stats), channel_map
+            return Context(collapsed_lis.freeze(), stats=self.stats), channel_map
 
         ctx, channel_map = self._memo("collapsed", (), build)
         return ctx, dict(channel_map)
@@ -486,8 +540,7 @@ def get_context(lis: "LisGraph | Context | object") -> Context:
                 f"declarative system (repro.dsl), got {lis!r}"
             )
         lis = decl.lower()
-    text = lis_to_json(lis)
-    fingerprint = lis_fingerprint(text)
+    fingerprint = lis.fingerprint()
     with _REGISTRY_LOCK:
         ctx = _REGISTRY.get(fingerprint)
         if ctx is not None:
@@ -515,7 +568,7 @@ def context_from_json(text: str) -> Context:
         if ctx is not None:
             _REGISTRY.move_to_end(fingerprint)
             return ctx
-        ctx = Context(lis_from_json(text))
+        ctx = Context(lis_from_json(text).freeze())
         _REGISTRY[fingerprint] = ctx
         while len(_REGISTRY) > _REGISTRY_CAPACITY:
             _REGISTRY.popitem(last=False)

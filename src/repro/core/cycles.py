@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from ..graphs import Edge, elementary_edge_cycles, scc_of
+from ..graphs import Edge, elementary_edge_cycles
 from ..graphs.cycles import CycleExplosionError
 from .lis_graph import LisGraph
 from .marked_graph import MarkedGraph
@@ -158,7 +158,7 @@ def collapse_sccs(lis: LisGraph) -> tuple[LisGraph, dict[int, int]]:
             "SCC collapse requires relay stations only on inter-SCC "
             "channels and no pipelined cores"
         )
-    mapping = scc_of(lis.system)
+    mapping = lis.scc_map()
     collapsed = LisGraph(default_queue=lis.default_queue)
     for node in lis.system.nodes:
         collapsed.add_shell(("scc", mapping[node]))

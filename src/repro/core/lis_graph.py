@@ -28,9 +28,9 @@ stations start with void data).
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, TypeVar
 
-from ..graphs import Digraph, Edge
+from ..graphs import Digraph, Edge, scc_of
 from .marked_graph import MarkedGraph
 from .naming import relay_name, stage_name
 
@@ -44,6 +44,8 @@ __all__ = [
 
 #: Storage capacity of a relay station (main + auxiliary register).
 RELAY_CAPACITY = 2
+
+T = TypeVar("T")
 
 
 class LisError(Exception):
@@ -59,7 +61,8 @@ class LisGraph:
         self.system = Digraph()
         self.default_queue = default_queue
         self._frozen = False
-        self._fingerprint: str | None = None
+        #: Content-derived values of a frozen graph (see :meth:`memo`).
+        self._memo: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Freezing and content identity
@@ -72,23 +75,41 @@ class LisGraph:
     def freeze(self) -> "LisGraph":
         """Seal the graph: every mutator raises :class:`LisError` from
         now on, which makes the instance safe to share (e.g. inside an
-        :class:`repro.analysis.Context`).  Returns ``self``."""
+        :class:`repro.analysis.Context`) and lets it memoize what it
+        derives from its content (:meth:`memo`).  Reaching past the
+        mutators (``lis.system.add_edge``) breaks that contract.
+        Returns ``self``."""
         self._frozen = True
         return self
+
+    def memo(self, name: str, build: Callable[[], T]) -> T:
+        """``build()``, computed once per frozen graph.
+
+        For values derived from the content alone: the canonical JSON
+        text, the fingerprint and the system SCC map.  A mutable graph
+        builds afresh on every call.
+        """
+        if not self._frozen:
+            return build()
+        try:
+            return self._memo[name]
+        except KeyError:
+            return self._memo.setdefault(name, build())
 
     def fingerprint(self) -> str:
         """Content fingerprint: the SHA-256 of the canonical JSON form
         (:func:`repro.core.serialize.lis_to_json`) -- the same bytes the
         analysis engine hashes for its cache key.  Cached once frozen.
         """
-        if self._frozen and self._fingerprint is not None:
-            return self._fingerprint
         from .serialize import lis_fingerprint, lis_to_json
 
-        digest = lis_fingerprint(lis_to_json(self))
-        if self._frozen:
-            self._fingerprint = digest
-        return digest
+        return self.memo("fingerprint", lambda: lis_fingerprint(lis_to_json(self)))
+
+    def scc_map(self) -> dict[Hashable, int]:
+        """Shell -> index of its SCC in the system graph
+        (:func:`repro.graphs.scc_of`).  Cached once frozen and then
+        shared by every caller: read it, never mutate it."""
+        return self.memo("scc_map", lambda: scc_of(self.system))
 
     def _check_mutable(self) -> None:
         if self._frozen:
@@ -222,8 +243,10 @@ class LisGraph:
         return [shell, *stages]
 
     def _tail(self, shell: Hashable) -> Hashable:
-        """The transition that drives a shell's output channels."""
-        return self._pipeline_nodes(shell)[-1]
+        """The transition that drives a shell's output channels: the
+        last of :meth:`_pipeline_nodes`."""
+        latency = self.latency(shell)
+        return shell if latency == 1 else stage_name(shell, latency - 2)
 
     def _chain_nodes(self, channel: Edge) -> list[Hashable]:
         """Transition sequence along a channel: producer tail, relays,
@@ -269,7 +292,9 @@ class LisGraph:
         return mg
 
     def doubled_marked_graph(
-        self, extra_tokens: dict[int, int] | None = None
+        self,
+        extra_tokens: dict[int, int] | None = None,
+        ideal: MarkedGraph | None = None,
     ) -> MarkedGraph:
         """The practical LIS: forward places plus backpressure backedges.
 
@@ -278,6 +303,9 @@ class LisGraph:
                 id -> extra tokens added on that channel's shell-side
                 backedge (i.e. extra queue slots at the consumer shell,
                 on top of the channel's configured queue capacity).
+            ideal: This graph's :meth:`ideal_marked_graph`, to build on
+                instead of lowering it again.  It is copied, never
+                mutated; the result has the same place keys either way.
 
         Backedge token counts follow Fig. 3: the backedge of a forward
         segment whose consumer is a relay station holds
@@ -292,7 +320,7 @@ class LisGraph:
             if tokens < 0:
                 raise LisError(f"negative extra tokens on channel {cid}")
 
-        mg = self.ideal_marked_graph()
+        mg = self.ideal_marked_graph() if ideal is None else ideal.copy()
         for shell in self.system.nodes:
             pipeline = self._pipeline_nodes(shell)
             for i in range(len(pipeline) - 1):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 
 from .lis_graph import LisGraph
@@ -44,31 +45,68 @@ def lis_fingerprint(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def lis_to_json(lis: LisGraph) -> str:
-    """Serialize ``lis`` to the JSON document format (stable order)."""
-    shells = {}
+def _number(value) -> str:
+    """JSON text of a count, as :func:`json.dumps` writes it."""
+    return str(value) if type(value) is int else json.dumps(value)
+
+
+def _write(lis: LisGraph) -> str:
+    """The ``json.dumps(doc, indent=2)`` text of ``lis``'s document,
+    written directly: the standard library's C encoder only serves
+    compact output, and its indenting encoder runs in pure Python.
+    Strings go through the encoder ``json.dumps`` applies to them."""
+    # Shell entries are keyed by the encoded name, as json.dumps keys
+    # the document's dict: names that stringify alike keep the first
+    # position and the last entry.
+    names: dict = {}
+    shells: dict[str, str] = {}
     for shell in lis.shells():
-        entry = {}
+        name = names[shell] = _string(str(shell))
         latency = lis.latency(shell)
-        if latency != 1:
-            entry["latency"] = latency
-        shells[str(shell)] = entry
+        shells[name] = (
+            "{}"
+            if latency == 1
+            else f'{{\n      "latency": {_number(latency)}\n    }}'
+        )
+    default = lis.default_queue
     channels = []
     for channel in lis.channels():
-        entry = {"src": str(channel.src), "dst": str(channel.dst)}
-        if channel.data["queue"] != lis.default_queue:
-            entry["queue"] = channel.data["queue"]
-        if channel.data["relays"]:
-            entry["relays"] = channel.data["relays"]
-        channels.append(entry)
-    return json.dumps(
-        {
-            "default_queue": lis.default_queue,
-            "shells": shells,
-            "channels": channels,
-        },
-        indent=2,
+        data = channel.data
+        entry = (
+            f'    {{\n      "src": {names[channel.src]},'
+            f'\n      "dst": {names[channel.dst]}'
+        )
+        if data["queue"] != default:
+            entry += f',\n      "queue": {_number(data["queue"])}'
+        if data["relays"]:
+            entry += f',\n      "relays": {_number(data["relays"])}'
+        channels.append(entry + "\n    }")
+    shell_text = (
+        "{\n"
+        + ",\n".join(f"    {name}: {entry}" for name, entry in shells.items())
+        + "\n  }"
+        if shells
+        else "{}"
     )
+    channel_text = "[\n" + ",\n".join(channels) + "\n  ]" if channels else "[]"
+    return (
+        f'{{\n  "default_queue": {_number(default)},'
+        f'\n  "shells": {shell_text},'
+        f'\n  "channels": {channel_text}\n}}'
+    )
+
+
+def lis_to_json(lis: LisGraph) -> str:
+    """Serialize ``lis`` to the JSON document format (stable order).
+
+    The text is byte for byte what ``json.dumps(doc, indent=2)`` makes
+    of the document in the module docstring (omitting latency 1, the
+    default queue and zero relays), so fingerprints and engine cache
+    keys are stable.  A frozen graph computes it once.
+    """
+    if isinstance(lis, LisGraph):
+        return lis.memo("json", lambda: _write(lis))
+    return _write(lis)
 
 
 def lis_from_json(text: str) -> LisGraph:

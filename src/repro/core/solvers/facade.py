@@ -14,10 +14,9 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ...graphs.mcm import potentials, reduced_arcs
 from ..cycles import is_collapsible
 from ..lis_graph import LisGraph
-from ..throughput import actual_mst, ideal_mst
+from ..throughput import ideal_mst
 from ..token_deficit import build_td_instance
 from .registry import get_solver
 
@@ -65,31 +64,6 @@ class QsSolution:
         return 1
 
 
-def _sized_mst(ctx, extra_tokens: dict[int, int]) -> Fraction:
-    """The MST of ``ctx`` with ``extra_tokens`` added to its queues.
-
-    The doubled graph holds every ideal-graph place with the same
-    tokens, and sizing adds tokens to backedges only, so the sized MST
-    never exceeds the ideal MST.  One Bellman--Ford pass over the
-    cached base lowering, with the extra tokens on the sizable
-    backedges, shows whether any cycle falls below the ideal MST; when
-    none does, the sized MST *is* the ideal MST.  Only a system left
-    short of it (a solver miss, or a target below the ideal) is
-    lowered again and run through Karp.
-    """
-    ideal = ideal_mst(ctx).mst
-    backedges = ctx.sizable_backedges()
-    extra = {backedges[cid]: tokens for cid, tokens in extra_tokens.items()}
-    index, arcs = reduced_arcs(
-        ctx.doubled_master().graph,
-        lambda place: place.data["tokens"] + extra.get(place.key, 0),
-        ideal,
-    )
-    if potentials(len(index), arcs) is not None:
-        return ideal
-    return actual_mst(ctx, extra_tokens).mst
-
-
 def size_queues(
     lis: LisGraph,
     method: str = "heuristic",
@@ -122,10 +96,11 @@ def size_queues(
         timeout: Wall-clock budget for timeout-aware solvers.
         max_cycles: Cycle-enumeration budget (raises
             :class:`~repro.graphs.CycleExplosionError` beyond it).
-        verify: Record the MST achieved with the solution applied:
-            one Bellman--Ford pass, plus Karp on the sized lowering
-            only when it falls short of the ideal MST (disable only in
-            tight benchmarking loops).
+        verify: Record the MST achieved with the solution applied
+            (:meth:`repro.analysis.Context.sized_mst`, cached per
+            solution): one Bellman--Ford pass, plus Karp on the sized
+            lowering only when it falls short of the ideal MST
+            (disable only in tight benchmarking loops).
 
     Returns:
         A :class:`QsSolution` whose ``extra_tokens`` refer to channels
@@ -168,7 +143,7 @@ def size_queues(
     if channel_map is not None:
         merged = {channel_map[cid]: tokens for cid, tokens in merged.items()}
 
-    achieved = _sized_mst(lis, merged) if verify else goal
+    achieved = lis.sized_mst(merged) if verify else goal
     return QsSolution(
         extra_tokens=merged,
         cost=sum(merged.values()),

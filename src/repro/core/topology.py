@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 from typing import Hashable
 
-from ..graphs import Digraph, Edge, biconnected_components, scc_of
+from ..graphs import Digraph, Edge, biconnected_components
 from .lis_graph import LisGraph
 
 __all__ = [
@@ -132,7 +132,7 @@ def classify_topology(lis: LisGraph | Digraph) -> TopologyClass:
 
 def relay_placement(lis: LisGraph) -> RelayPlacement:
     """Whether relay stations sit on intra-SCC or inter-SCC channels."""
-    mapping = scc_of(lis.system)
+    mapping = lis.scc_map()
     inter = intra = 0
     for channel in lis.channels():
         relays = channel.data["relays"]

@@ -234,9 +234,8 @@ def _op_table4_trial(ctx: Context, options: dict):
     """
     from ..core.solvers import get_solver
     from ..core.solvers.exact import ExactTimeout
-    from ..graphs import scc_of
 
-    mapping = scc_of(ctx.system)
+    mapping = ctx.scc_map()
     inter_scc_edges = sum(
         1 for e in ctx.channels() if mapping[e.src] != mapping[e.dst]
     )

@@ -220,12 +220,13 @@ class Digraph:
     def copy(self) -> "Digraph":
         """A deep structural copy; edge keys are preserved."""
         g = type(self)()
-        for node, data in self._node_data.items():
-            g.add_node(node, **data)
-        for edge in self._edges.values():
-            g._edges[edge.key] = Edge(edge.key, edge.src, edge.dst, dict(edge.data))
-            g._out[edge.src].append(edge.key)
-            g._in[edge.dst].append(edge.key)
+        g._node_data = {node: dict(data) for node, data in self._node_data.items()}
+        g._out = {node: list(keys) for node, keys in self._out.items()}
+        g._in = {node: list(keys) for node, keys in self._in.items()}
+        g._edges = {
+            key: Edge(key, edge.src, edge.dst, dict(edge.data))
+            for key, edge in self._edges.items()
+        }
         g._next_key = self._next_key
         return g
 
@@ -245,19 +246,6 @@ class Digraph:
                 )
                 g._out[edge.src].append(edge.key)
                 g._in[edge.dst].append(edge.key)
-        g._next_key = self._next_key
-        return g
-
-    def edge_subgraph(self, keys: Iterable[int]) -> "Digraph":
-        """The subgraph containing exactly the edges ``keys`` (+ endpoints)."""
-        g = type(self)()
-        for key in keys:
-            edge = self.edge(key)
-            g.add_node(edge.src, **self._node_data[edge.src])
-            g.add_node(edge.dst, **self._node_data[edge.dst])
-            g._edges[edge.key] = Edge(edge.key, edge.src, edge.dst, dict(edge.data))
-            g._out[edge.src].append(edge.key)
-            g._in[edge.dst].append(edge.key)
         g._next_key = self._next_key
         return g
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Callable, Hashable
 
 from .digraph import Digraph, Edge
-from .scc import strongly_connected_components
+from .scc import strongly_connected_components, tarjan
 
 __all__ = [
     "CycleMeanResult",
@@ -156,15 +156,35 @@ def _karp_on_scc(
     return Fraction(best_num, best_den)
 
 
+def _has_lighter_edge(
+    graph: Digraph, component: list[Hashable], weight: WeightFn, bound: Fraction
+) -> bool:
+    """Whether some edge inside ``component`` weighs less than ``bound``."""
+    members = set(component)
+    return any(
+        weight(edge) < bound
+        for node in component
+        for edge in graph.in_edges(node)
+        if edge.src in members
+    )
+
+
 def karp_minimum_cycle_mean(
     graph: Digraph, weight: WeightFn
 ) -> Fraction | None:
     """Minimum cycle mean over the whole graph, or ``None`` if acyclic.
 
     ``weight`` must return ``int`` (token counts); the result is exact.
+    A cycle's mean is at least its lightest edge, so an SCC with no
+    edge lighter than the best mean so far cannot lower it and is
+    skipped without running Karp.
     """
     best: Fraction | None = None
     for component in _cyclic_sccs(graph):
+        if best is not None and not _has_lighter_edge(
+            graph, component, weight, best
+        ):
+            continue
         mean = _karp_on_scc(graph, component, weight)
         if best is None or mean < best:
             best = mean
@@ -211,9 +231,10 @@ def potentials(n: int, arcs: list[tuple[int, int, int]]) -> list[int] | None:
 
 def _tight_edges(
     graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn
-) -> list[Edge]:
-    """Edges tight under the :func:`potentials` of the reduced weights
-    for ``mean``, in edge order; the shared core of
+) -> list[tuple[Edge, int, int]]:
+    """``(edge, src index, dst index)`` of each edge tight under the
+    :func:`potentials` of the reduced weights for ``mean``, in edge
+    order (indices follow ``graph.nodes``); the shared core of
     :func:`critical_cycle` and :func:`critical_edges`.
 
     ``ValueError`` when relaxation does not settle (``mean`` is not
@@ -224,7 +245,7 @@ def _tight_edges(
     if pot is None:
         raise ValueError("negative cycle: supplied mean is not minimal")
     return [
-        edge
+        (edge, u, v)
         for edge, (u, v, w) in zip(graph.edges, arcs)
         if pot[u] + w == pot[v]
     ]
@@ -248,7 +269,7 @@ def critical_cycle(
     """
     # Tight subgraph; any directed cycle in it attains the mean.
     tight: dict[Hashable, list[Edge]] = {node: [] for node in graph.nodes}
-    for edge in _tight_edges(graph, weight, mean, time):
+    for edge, _, _ in _tight_edges(graph, weight, mean, time):
         tight[edge.src].append(edge)
 
     # Iterative DFS for a cycle among tight edges.
@@ -306,14 +327,16 @@ def critical_edges(
     this runs in O(nm) and is what the bottleneck reports use.
     """
     tight = _tight_edges(graph, weight, mean, time)
-    tight_graph = graph.edge_subgraph([e.key for e in tight])
-    component_of: dict[Hashable, int] = {}
-    for i, component in enumerate(strongly_connected_components(tight_graph)):
-        for node in component:
-            component_of[node] = i
+    adjacency: list[list[int]] = [[] for _ in range(graph.number_of_nodes())]
+    for _, u, v in tight:
+        adjacency[u].append(v)
+    component_of = [0] * len(adjacency)
+    for i, component in enumerate(tarjan(adjacency)):
+        for u in component:
+            component_of[u] = i
     # An edge inside one component closes a cycle with a tight path
     # back; a tight self-loop is its own critical cycle.
-    return {e.key for e in tight if component_of[e.src] == component_of[e.dst]}
+    return {edge.key for edge, u, v in tight if component_of[u] == component_of[v]}
 
 
 def minimum_cycle_mean(

@@ -17,6 +17,7 @@ from typing import Hashable
 from .digraph import Digraph
 
 __all__ = [
+    "tarjan",
     "strongly_connected_components",
     "condensation",
     "is_strongly_connected",
@@ -24,59 +25,76 @@ __all__ = [
 ]
 
 
-def strongly_connected_components(graph: Digraph) -> list[list[Hashable]]:
-    """Tarjan's SCC algorithm (iterative).
+def tarjan(adjacency: list[list[int]]) -> list[list[int]]:
+    """Tarjan's SCC algorithm (iterative) over the nodes ``0..n-1`` of
+    ``adjacency``, where ``adjacency[u]`` lists the heads of ``u``'s
+    arcs (parallel arcs may repeat a head).
 
-    Returns the components as lists of nodes, in reverse topological
+    Roots are tried in index order and arcs in list order.  Returns
+    the components as lists of node indices, in reverse topological
     order of the condensation (a Tarjan property: each component is
     emitted only after every component it can reach).
     """
-    index_of: dict[Hashable, int] = {}
-    lowlink: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    components: list[list[Hashable]] = []
+    n = len(adjacency)
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
 
-    for root in graph.nodes:
-        if root in index_of:
+    for root in range(n):
+        if index_of[root] >= 0:
             continue
-        # Each frame is (node, iterator over successors).
-        work = [(root, iter(graph.successors(root)))]
+        # Each frame is (node, iterator over its arc heads).
+        work = [(root, iter(adjacency[root]))]
         index_of[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, succs = work[-1]
-            advanced = False
             for succ in succs:
-                if succ not in index_of:
+                if index_of[succ] < 0:
                     index_of[succ] = lowlink[succ] = counter
                     counter += 1
                     stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(graph.successors(succ))))
-                    advanced = True
+                    on_stack[succ] = True
+                    work.append((succ, iter(adjacency[succ])))
                     break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: list[Hashable] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == node:
-                        break
-                components.append(component)
+                if on_stack[succ] and index_of[succ] < lowlink[node]:
+                    lowlink[node] = index_of[succ]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if lowlink[node] < lowlink[parent]:
+                        lowlink[parent] = lowlink[node]
+                if lowlink[node] == index_of[node]:
+                    component: list[int] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == node:
+                            break
+                    components.append(component)
     return components
+
+
+def strongly_connected_components(graph: Digraph) -> list[list[Hashable]]:
+    """The SCCs of ``graph`` by :func:`tarjan`, as lists of nodes.
+
+    Roots are tried in ``graph.nodes`` order and each node's out-edges
+    in key order.  Components come in reverse topological order of the
+    condensation.
+    """
+    nodes = list(graph.nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    adjacency: list[list[int]] = [[] for _ in nodes]
+    for edge in graph.edges:
+        adjacency[index[edge.src]].append(index[edge.dst])
+    return [[nodes[i] for i in component] for component in tarjan(adjacency)]
 
 
 def scc_of(graph: Digraph) -> dict[Hashable, int]:

@@ -109,7 +109,7 @@ def _doubled_strongly_connected(lis: "LisGraph") -> bool:
     from ..graphs.scc import is_strongly_connected
 
     ctx = get_context(lis)
-    return is_strongly_connected(ctx.doubled_marked_graph().graph)
+    return is_strongly_connected(ctx.doubled_master().graph)
 
 
 #: Registered backends in registration order (the order ``crossvalidate``

@@ -1,8 +1,13 @@
 """Engine ops on the same serialized system share one Context."""
 
+import sys
 import threading
+from collections import Counter
 from fractions import Fraction
 
+import repro.core.serialize
+import repro.graphs.mcm
+from repro.core import LisGraph
 from repro.core.serialize import lis_to_json
 from repro.engine import AnalysisEngine, register_op
 from repro.engine.ops import run_op
@@ -20,10 +25,11 @@ def test_two_ops_on_same_serialized_system_lower_once():
             [("actual_mst", lis_json, {"extra_tokens": {}})]
         )[0]
         assert base.mst == again.mst == Fraction(2, 3)
-        # One doubled lowering and one Karp run total: the second op
-        # found the MST already cached on the shared context and never
-        # touched the marked graph again.
+        # One doubled lowering (on the one ideal lowering) and one Karp
+        # run total: the second op found the MST already cached on the
+        # shared context and never touched the marked graph again.
         assert engine.stats.context == {
+            "ideal_mg.miss": 1,
             "doubled_mg.miss": 1,
             "actual_mst.miss": 1,
             "actual_mst.hit": 1,
@@ -35,10 +41,13 @@ def test_run_op_meta_carries_context_delta():
     result, meta = run_op("actual_mst", lis_json, None)
     assert result.mst == Fraction(3, 4)
     assert meta["context"]["doubled_mg.miss"] == 1
+    # The doubled lowering extends the ideal one, lowered in this op.
+    assert meta["context"]["ideal_mg.miss"] == 1
     # A second op run on the same text reuses the registry context.
     _result, meta2 = run_op("ideal_mst", lis_json, None)
     assert "doubled_mg.miss" not in meta2["context"]
-    assert meta2["context"]["ideal_mg.miss"] == 1
+    assert "ideal_mg.miss" not in meta2["context"]
+    assert meta2["context"]["ideal_mg.hit"] == 1
 
 
 def test_concurrent_ops_are_not_charged_for_each_other():
@@ -108,3 +117,49 @@ def test_stats_json_accumulates_context_counters(tmp_path):
 
     stats = DiskCache(tmp_path).read_stats()
     assert stats["context"]["doubled_mg.miss"] == 1
+
+
+def test_sizing_request_derives_each_artifact_once(monkeypatch):
+    """A size_queues op then an analyze op on one fresh Table-IV system
+    serialize it once per op, lower each of the base and the collapsed
+    system once, and run Karp once per doubled lowering's SCC: the
+    ideal graph's other SCCs cannot lower the minimum."""
+    from repro.gen import GeneratorConfig, generate_lis
+
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    original = repro.core.serialize.lis_to_json
+    wrapped = counted("lis_to_json", original)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, wrapped)
+    for method in ("ideal_marked_graph", "doubled_marked_graph"):
+        monkeypatch.setattr(
+            LisGraph, method, counted(method, getattr(LisGraph, method))
+        )
+    monkeypatch.setattr(
+        repro.graphs.mcm,
+        "_karp_on_scc",
+        counted("_karp_on_scc", repro.graphs.mcm._karp_on_scc),
+    )
+
+    lis = generate_lis(GeneratorConfig(v=100, s=10, c=5, rs=10, seed=1))
+    with AnalysisEngine(jobs=1) as engine:
+        solution = engine.size_queues(lis)
+        report = engine.analyze(lis)
+    assert report.fix is not None and report.fix.cost == solution.cost
+    assert calls == {
+        "lis_to_json": 2,
+        "ideal_marked_graph": 2,
+        "doubled_marked_graph": 2,
+        "_karp_on_scc": 2,
+    }

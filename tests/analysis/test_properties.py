@@ -9,7 +9,7 @@ from repro.core.cycles import cycle_records as fresh_cycle_records
 from repro.core.cycles import deficient_cycles as fresh_deficient_cycles
 from repro.core.throughput import mst
 
-from ..strategies import lis_systems
+from ..strategies import lis_graphs, lis_systems
 
 
 def record_key(record):
@@ -26,6 +26,35 @@ def test_cached_msts_match_fresh_computation(system):
     # Serving again (now from cache) must not change the answer.
     assert ctx.ideal_mst().mst == mst(lis.ideal_marked_graph()).mst
     assert ctx.actual_mst().mst == mst(lis.doubled_marked_graph()).mst
+
+
+def graph_key(mg):
+    """Every transition and place of a marked graph, with their data."""
+    graph = mg.graph
+    return (
+        [(node, graph.node_data(node)) for node in graph.nodes],
+        [(e.key, e.src, e.dst, e.data) for e in graph.edges],
+    )
+
+
+@settings(max_examples=60)
+@given(lis_graphs(max_latency=3), st.data())
+def test_doubled_lowering_on_the_ideal_master_matches_a_fresh_one(lis, data):
+    ids = lis.channel_ids()
+    extra = (
+        data.draw(
+            st.dictionaries(
+                st.sampled_from(ids), st.integers(min_value=0, max_value=2)
+            )
+        )
+        if ids
+        else {}
+    )
+    ctx = Context(lis)
+    fresh = graph_key(lis.doubled_marked_graph(extra))
+    assert graph_key(ctx.doubled_marked_graph(extra)) == fresh
+    # The extension copied the cached ideal lowering, never touched it.
+    assert graph_key(ctx.ideal_master()) == graph_key(lis.ideal_marked_graph())
 
 
 @settings(max_examples=60)

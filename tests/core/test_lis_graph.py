@@ -1,9 +1,12 @@
 """Tests for the LIS system model and its marked-graph lowerings."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import RELAY_CAPACITY, LisError, LisGraph, relay_name
-from repro.gen import fig1_lis
+from repro.gen import GeneratorConfig, fig1_lis, generate_lis
 
 
 def test_add_channel_defaults():
@@ -158,3 +161,39 @@ def test_sizable_backedges_mapping():
         assert place.data["kind"] == "back"
         assert place.data["channel"] == cid
         assert place.data["sizable"]
+
+
+def test_frozen_graph_memoizes_content_values():
+    lis = fig1_lis()
+    assert lis.scc_map() is not lis.scc_map()  # mutable: built afresh
+    frozen = lis.freeze()
+    assert frozen.scc_map() is frozen.scc_map()
+    assert frozen.fingerprint() is frozen.fingerprint()
+    clone = frozen.copy()
+    assert not clone.frozen and clone.scc_map() == frozen.scc_map()
+
+
+def test_frozen_memo_hands_every_thread_one_value():
+    """Threads racing to build a memoized value all get the one that
+    was stored: a lost update would hand out distinct copies."""
+    lis = generate_lis(GeneratorConfig(v=100, s=10, c=5, rs=10, seed=1)).freeze()
+    results: list = []
+    barrier = threading.Barrier(8)
+
+    def worker():
+        barrier.wait(timeout=30)
+        results.append(lis.scc_map())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    assert all(result is results[0] for result in results)

@@ -1,6 +1,10 @@
 """Tests for LIS JSON serialization."""
 
+import json
 from fractions import Fraction
+
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import LisGraph, actual_mst, ideal_mst
 from repro.core.serialize import (
@@ -10,6 +14,7 @@ from repro.core.serialize import (
     save_lis,
 )
 from repro.gen import fig1_lis, fig15_lis
+from tests.strategies import lis_graphs
 
 
 def test_roundtrip_preserves_structure():
@@ -69,3 +74,75 @@ def test_save_and_load(tmp_path):
     save_lis(fig1_lis(), path)
     clone = load_lis(path)
     assert actual_mst(clone).mst == Fraction(2, 3)
+
+
+def _dumps_reference(lis: LisGraph) -> str:
+    """The reference canonical text: the document built as a dict and
+    written by ``json.dumps(doc, indent=2)``."""
+    shells = {}
+    for shell in lis.shells():
+        entry = {}
+        latency = lis.latency(shell)
+        if latency != 1:
+            entry["latency"] = latency
+        shells[str(shell)] = entry
+    channels = []
+    for channel in lis.channels():
+        entry = {"src": str(channel.src), "dst": str(channel.dst)}
+        if channel.data["queue"] != lis.default_queue:
+            entry["queue"] = channel.data["queue"]
+        if channel.data["relays"]:
+            entry["relays"] = channel.data["relays"]
+        channels.append(entry)
+    return json.dumps(
+        {
+            "default_queue": lis.default_queue,
+            "shells": shells,
+            "channels": channels,
+        },
+        indent=2,
+    )
+
+
+#: Shell names with quotes, backslashes, control and non-ASCII
+#: characters, and ints (``1`` and ``"1"`` stringify alike).
+_NAMES = st.one_of(
+    st.text(
+        alphabet=st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé☃\U0001F600 '),
+        max_size=4,
+    ),
+    st.text(max_size=3),
+    st.integers(min_value=-2, max_value=2),
+)
+
+
+@st.composite
+def _odd_systems(draw):
+    """Systems with odd shell names, pipelined cores, a non-default
+    default queue and channels that override it."""
+    names = draw(st.lists(_NAMES, min_size=1, max_size=5, unique=True))
+    lis = LisGraph(default_queue=draw(st.integers(min_value=1, max_value=3)))
+    for name in names:
+        lis.add_shell(name, latency=draw(st.integers(min_value=1, max_value=4)))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        lis.add_channel(
+            draw(st.sampled_from(names)),
+            draw(st.sampled_from(names)),
+            queue=draw(st.none() | st.integers(min_value=1, max_value=4)),
+            relays=draw(st.integers(min_value=0, max_value=2)),
+        )
+    return lis
+
+
+@given(
+    st.one_of(
+        st.just(LisGraph()),
+        lis_graphs(),
+        lis_graphs(max_latency=3),
+        _odd_systems(),
+    )
+)
+def test_direct_writer_matches_json_dumps(lis):
+    assert lis_to_json(lis) == _dumps_reference(lis)
+    frozen = lis.copy().freeze()
+    assert lis_to_json(frozen) == lis_to_json(frozen) == _dumps_reference(lis)

@@ -121,15 +121,6 @@ def test_subgraph_missing_node_raises():
         g.subgraph(["a", "zzz"])
 
 
-def test_edge_subgraph():
-    g = Digraph()
-    k1 = g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    sub = g.edge_subgraph([k1])
-    assert sub.number_of_edges() == 1
-    assert set(sub.nodes) == {"a", "b"}
-
-
 def test_reversed_flips_all_edges():
     g = Digraph()
     g.add_edge("a", "b")
