@@ -323,7 +323,7 @@ class Context:
         backedges, shows whether any cycle falls below the ideal MST;
         when none does, the sized MST *is* the ideal MST.  Only a
         system left short of it (a solver miss, or a target below the
-        ideal) is lowered again and run through Karp
+        ideal) is lowered again and searched for its minimum cycle mean
         (:meth:`actual_mst`).
         """
         key = _extra_key(extra_tokens, self._channel_ids)

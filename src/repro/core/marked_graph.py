@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Hashable, Iterable
 
 from ..graphs import Digraph, Edge
-from ..graphs.mcm import karp_minimum_cycle_mean
+from ..graphs.mcm import minimum_cycle_mean
 
 __all__ = ["MarkedGraph", "MarkingError", "place_tokens"]
 
@@ -158,10 +158,11 @@ class MarkedGraph:
 
         (Commoner et al., 1971.)  Computed via the minimum cycle mean:
         the marked graph is live iff it is acyclic or the minimum
-        token/place ratio over cycles is strictly positive.
+        token/place ratio over cycles is strictly positive.  Only means
+        below 1 need searching: any mean of at least 1 is positive.
         """
-        mcm = karp_minimum_cycle_mean(self.graph, place_tokens)
-        return mcm is None or mcm > 0
+        result = minimum_cycle_mean(self.graph, place_tokens, below=Fraction(1))
+        return result is None or result.mean > 0
 
     def is_deadlocked(self) -> bool:
         """True when no transition is enabled."""

@@ -98,8 +98,9 @@ def size_queues(
             :class:`~repro.graphs.CycleExplosionError` beyond it).
         verify: Record the MST achieved with the solution applied
             (:meth:`repro.analysis.Context.sized_mst`, cached per
-            solution): one Bellman--Ford pass, plus Karp on the sized
-            lowering only when it falls short of the ideal MST
+            solution): one Bellman--Ford pass, plus the minimum cycle
+            mean of the sized lowering only when it falls short of the
+            ideal MST
             (disable only in tight benchmarking loops).
 
     Returns:

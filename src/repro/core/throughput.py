@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..graphs import Edge, strongly_connected_components
-from ..graphs.mcm import critical_cycle, critical_edges, karp_minimum_cycle_mean
+from ..graphs.mcm import critical_edges, minimum_cycle_mean, minimum_cycle_ratio
 from .lis_graph import LisGraph
 from .marked_graph import MarkedGraph, place_tokens
 
@@ -64,13 +64,13 @@ class ThroughputResult:
 
 def mst(mg: MarkedGraph) -> ThroughputResult:
     """The MST of a marked graph, with a witness critical cycle."""
-    mean = karp_minimum_cycle_mean(mg.graph, place_tokens)
-    if mean is None or mean >= ONE:
+    result = minimum_cycle_mean(mg.graph, place_tokens, below=ONE)
+    if result is None:
         # Acyclic graph, or every cycle sustains full rate.
         return ThroughputResult(mst=ONE)
-    witness = critical_cycle(mg.graph, place_tokens, mean)
+    witness = result.cycle
     scc_nodes = frozenset(edge.src for edge in witness)
-    return ThroughputResult(mst=mean, critical=witness, limiting_scc=scc_nodes)
+    return ThroughputResult(mst=result.mean, critical=witness, limiting_scc=scc_nodes)
 
 
 def cycle_time(mg: MarkedGraph) -> Fraction | None:
@@ -81,10 +81,10 @@ def cycle_time(mg: MarkedGraph) -> Fraction | None:
     an infinite cycle time, reported as ``None`` as well -- callers
     should test :meth:`MarkedGraph.is_live` first.
     """
-    mean = karp_minimum_cycle_mean(mg.graph, place_tokens)
-    if mean is None or mean == 0:
+    result = minimum_cycle_mean(mg.graph, place_tokens)
+    if result is None or result.mean == 0:
         return None
-    return 1 / mean
+    return 1 / result.mean
 
 
 def mst_per_scc(mg: MarkedGraph) -> dict[frozenset, Fraction]:
@@ -92,9 +92,8 @@ def mst_per_scc(mg: MarkedGraph) -> dict[frozenset, Fraction]:
     out: dict[frozenset, Fraction] = {}
     for component in strongly_connected_components(mg.graph):
         sub = mg.graph.subgraph(component)
-        mean = karp_minimum_cycle_mean(sub, place_tokens)
-        value = ONE if mean is None else min(ONE, mean)
-        out[frozenset(component)] = value
+        result = minimum_cycle_mean(sub, place_tokens, below=ONE)
+        out[frozenset(component)] = ONE if result is None else result.mean
     return out
 
 
@@ -121,16 +120,13 @@ def ideal_mst_compact(lis: LisGraph) -> Fraction:
     test-suite asserts it -- while scaling independently of relay
     counts and pipeline depths.
     """
-    from ..graphs.mcm import minimum_cycle_ratio
-
     result = minimum_cycle_ratio(
         lis.system,
         weight=lambda edge: 1,
         time=lambda edge: edge.data["relays"] + lis.latency(edge.dst),
+        below=ONE,
     )
-    if result is None:
-        return ONE
-    return min(ONE, result.mean)
+    return ONE if result is None else result.mean
 
 
 def actual_mst(
@@ -160,7 +156,7 @@ def bottleneck_channels(
     """
     # The MST is the minimum cycle mean whenever it is below 1; a
     # Context serves it, and its doubled lowering, from its memo
-    # instead of re-running Karp on a copy.
+    # instead of searching a copy again.
     mean = actual_mst(lis, extra_tokens).mst
     if mean >= ONE:
         return set()

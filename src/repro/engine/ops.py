@@ -114,9 +114,9 @@ def _op_actual_mst(ctx: Context, options: dict):
 
 def _sweep_rate(trial, method: str) -> Fraction:
     """The practical rate of one sweep point under the chosen method:
-    ``"analytic"`` (Karp minimum cycle mean) or ``"schedule"`` (the
-    analytic schedule oracle's common shell rate, falling back to
-    Karp on systems it does not support)."""
+    ``"analytic"`` (the exact minimum cycle mean) or ``"schedule"``
+    (the analytic schedule oracle's common shell rate, falling back to
+    the minimum cycle mean on systems it does not support)."""
     if method == "schedule":
         from ..lis.backends import get_backend
 
@@ -133,12 +133,12 @@ def _op_mst_sweep(ctx: Context, options: dict):
     """Ideal MST plus the practical MST at each uniform queue size.
 
     Options: ``queues`` (list of ints), ``include_ideal`` (default
-    True), ``method`` (``"analytic"`` -- Karp, the default -- or
-    ``"schedule"`` for the eventually-periodic oracle; the two are
-    provably equal on strongly connected systems, so ``"schedule"``
-    here is the cross-checking mode of the Fig. 16/17 sweeps, with
-    ``"inf"`` always analytic because the ideal system may accumulate
-    tokens unboundedly).  Returns ``{"inf": Fraction, "<q>":
+    True), ``method`` (``"analytic"`` -- the minimum cycle mean, the
+    default -- or ``"schedule"`` for the eventually-periodic oracle;
+    the two are provably equal on strongly connected systems, so
+    ``"schedule"`` here is the cross-checking mode of the Fig. 16/17
+    sweeps, with ``"inf"`` always analytic because the ideal system
+    may accumulate tokens unboundedly).  Returns ``{"inf": Fraction, "<q>":
     Fraction, ...}`` -- the per-trial unit of the Fig. 16 / Fig. 17
     sweeps, batched so one task amortizes one system's generation and
     transfer.

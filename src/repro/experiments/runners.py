@@ -74,9 +74,9 @@ def fig16_mst_degradation(
     no backpressure) or ``str(q)`` for finite uniform queues.
     ``checkpoint`` journals completed sweeps for crash resume.
     ``method`` selects how each finite-queue point is computed:
-    ``"analytic"`` (Karp) or ``"schedule"`` (the eventually-periodic
-    oracle -- same exact values, different derivation; see the
-    ``mst_sweep`` op).
+    ``"analytic"`` (the minimum cycle mean) or ``"schedule"`` (the
+    eventually-periodic oracle -- same exact values, different
+    derivation; see the ``mst_sweep`` op).
     """
     grid = [
         (policy, rs, trial)

@@ -32,6 +32,7 @@ from itertools import product
 from typing import Hashable, Iterator
 
 from .digraph import Digraph, Edge
+from .scc import tarjan
 
 __all__ = [
     "CycleExplosionError",
@@ -56,52 +57,18 @@ def _simple_adjacency(graph: Digraph) -> dict[Hashable, set[Hashable]]:
 
 
 def _nontrivial_sccs(adj: dict[Hashable, set[Hashable]]) -> list[set[Hashable]]:
-    """SCCs with >= 2 nodes of a dict-of-sets digraph (iterative Tarjan)."""
-    index_of: dict[Hashable, int] = {}
-    lowlink: dict[Hashable, int] = {}
-    on_stack: set[Hashable] = set()
-    stack: list[Hashable] = []
-    out: list[set[Hashable]] = []
-    counter = 0
-    for root in adj:
-        if root in index_of:
-            continue
-        work = [(root, iter(adj[root]))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, succs = work[-1]
-            advanced = False
-            for succ in succs:
-                if succ not in index_of:
-                    index_of[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adj[succ])))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[node] = min(lowlink[node], index_of[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index_of[node]:
-                component: set[Hashable] = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.add(w)
-                    if w == node:
-                        break
-                if len(component) > 1:
-                    out.append(component)
-    return out
+    """SCCs with >= 2 nodes of a dict-of-sets digraph, by :func:`tarjan`
+    with roots in ``adj`` order and successors in set order.  Each set
+    is built in Tarjan's pop order, which fixes its iteration order and
+    so the start node Johnson's search takes from it."""
+    nodes = list(adj)
+    index = {node: i for i, node in enumerate(nodes)}
+    components = tarjan([[index[succ] for succ in adj[node]] for node in nodes])
+    return [
+        {nodes[i] for i in component}
+        for component in components
+        if len(component) > 1
+    ]
 
 
 def elementary_node_cycles(graph: Digraph) -> Iterator[list[Hashable]]:

@@ -1,4 +1,5 @@
-"""Minimum cycle mean: Karp's algorithm, Howard's policy iteration.
+"""Minimum cycle mean and ratio: a parametric negative-cycle search,
+with Karp's algorithm and Howard's policy iteration as references.
 
 The cycle time of a timed marked graph with unit delays is the
 reciprocal of the *minimum cycle mean* -- the smallest ratio of tokens
@@ -7,19 +8,27 @@ computes that quantity exactly, over integer edge weights (token
 counts) with :class:`fractions.Fraction` results, and extracts one
 *critical cycle* attaining it.
 
-Two independent algorithms are provided:
+Three algorithms are provided:
 
+* :func:`minimum_cycle_mean` and :func:`minimum_cycle_ratio` -- the
+  search the library runs.  For a candidate ratio ``lam = p/q`` it
+  relaxes the integer reduced weights ``q*w(e) - p*t(e)`` with the one
+  Bellman--Ford loop of this module, which keeps each node's parent
+  arc.  A cycle of parent arcs has negative reduced weight, i.e. a
+  ratio below ``lam``: that ratio becomes the next candidate and the
+  loop starts again.  A pass that changes nothing proves no cycle lies
+  below ``lam``, so ``lam`` is the minimum, and its settled potentials
+  yield the witness cycle.
 * :func:`karp_minimum_cycle_mean` -- Karp's O(nm) dynamic program
-  [Karp 1978], run per strongly connected component.  This is the
-  default used throughout the library, as the paper suggests.  It
-  works on plain ``int`` walk weights and compares candidate means by
-  integer cross-multiplication, so the only :class:`Fraction` it
-  builds is the result.
+  [Karp 1978], run per strongly connected component: the algorithm the
+  paper suggests, and the reference the tests and the MCM ablation
+  check the search against.  It works on plain ``int`` walk weights
+  and compares candidate means by integer cross-multiplication, so the
+  only :class:`Fraction` it builds is the result.
 * :func:`howard_minimum_cycle_mean` -- Howard's policy iteration over
-  exact :class:`Fraction` biases: the independent oracle the tests
-  check Karp against, and the engine of :func:`minimum_cycle_ratio`.
+  exact :class:`Fraction` biases: an independent oracle.
 
-Both handle multigraphs (parallel edges) and self-loops.  Edge weights
+All handle multigraphs (parallel edges) and self-loops.  Edge weights
 must be ``int`` (token counts); times must be positive ``int``.
 """
 
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 from .digraph import Digraph, Edge
 from .scc import strongly_connected_components, tarjan
@@ -156,35 +165,15 @@ def _karp_on_scc(
     return Fraction(best_num, best_den)
 
 
-def _has_lighter_edge(
-    graph: Digraph, component: list[Hashable], weight: WeightFn, bound: Fraction
-) -> bool:
-    """Whether some edge inside ``component`` weighs less than ``bound``."""
-    members = set(component)
-    return any(
-        weight(edge) < bound
-        for node in component
-        for edge in graph.in_edges(node)
-        if edge.src in members
-    )
-
-
 def karp_minimum_cycle_mean(
     graph: Digraph, weight: WeightFn
 ) -> Fraction | None:
     """Minimum cycle mean over the whole graph, or ``None`` if acyclic.
 
     ``weight`` must return ``int`` (token counts); the result is exact.
-    A cycle's mean is at least its lightest edge, so an SCC with no
-    edge lighter than the best mean so far cannot lower it and is
-    skipped without running Karp.
     """
     best: Fraction | None = None
     for component in _cyclic_sccs(graph):
-        if best is not None and not _has_lighter_edge(
-            graph, component, weight, best
-        ):
-            continue
         mean = _karp_on_scc(graph, component, weight)
         if best is None or mean < best:
             best = mean
@@ -209,41 +198,104 @@ def reduced_arcs(
     return index, arcs
 
 
+def _relax(
+    n: int, arcs: list[tuple[int, int, int]]
+) -> tuple[list[int], list[int] | None]:
+    """Bellman--Ford over ``n`` nodes from a virtual source with a
+    0-weight arc to each node, keeping each node's parent arc.
+
+    The first pass scans every arc, each later pass the out-arcs of
+    the nodes the pass before relaxed.  Returns ``(pot, None)`` once a
+    pass changes nothing, else ``(pot, cycle)`` as soon as the parent
+    arcs close a cycle, with ``cycle`` the indices into ``arcs`` of its
+    arcs.  Such a cycle has negative weight: every parent arc
+    ``(u, v, w)`` keeps ``pot[u] + w <= pot[v]``, and the strict
+    relaxation that closed the cycle makes the sum around it negative.
+    A node relaxed in pass k has a parent relaxed in pass k - 1 or
+    later, so a node relaxed in pass n has no parent chain of n - 1
+    arcs back to an unrelaxed node: it lies on or below a parent
+    cycle, and at most n + 1 passes run.  Settled potentials are the
+    shortest distances from the virtual source, whatever the order of
+    relaxations.
+    """
+    out: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, (u, v, w) in enumerate(arcs):
+        out[u].append((v, w, i))
+    pot = [0] * n
+    parent = [-1] * n
+    # A parent cycle is new in the pass that relaxed one of its nodes:
+    # walk parents from each node relaxed, marking the nodes a pass's
+    # walks reach with increasing stamps.
+    mark = [0] * n
+    stamp = 0
+    scan: Iterable[int] = range(n)
+    for _ in range(n + 1):
+        relaxed = []
+        for u in scan:
+            pot_u = pot[u]
+            for v, w, i in out[u]:
+                cand = pot_u + w
+                if cand < pot[v]:
+                    pot[v] = cand
+                    parent[v] = i
+                    relaxed.append(v)
+        if not relaxed:
+            return pot, None
+        first = stamp + 1  # stamps below this are from earlier passes
+        for start in relaxed:
+            if mark[start] >= first:
+                continue
+            stamp += 1
+            node = start
+            while node >= 0 and mark[node] < first:
+                mark[node] = stamp
+                arc = parent[node]
+                node = arcs[arc][0] if arc >= 0 else -1
+            if node >= 0 and mark[node] == stamp:
+                cycle = [parent[node]]
+                tail = arcs[cycle[0]][0]
+                while tail != node:
+                    cycle.append(parent[tail])
+                    tail = arcs[cycle[-1]][0]
+                return pot, cycle
+        scan = dict.fromkeys(relaxed)
+    raise AssertionError("pass n left no parent cycle")  # pragma: no cover
+
+
 def potentials(n: int, arcs: list[tuple[int, int, int]]) -> list[int] | None:
     """Bellman--Ford distances over ``n`` nodes from a virtual source
     with a 0-weight arc to each node, or ``None`` when some cycle has
-    negative weight.  Every arc ``(u, v, w)`` then satisfies
-    ``pot[u] + w >= pot[v]``: the potentials make all weights
-    non-negative (Johnson's reweighting).
+    negative weight (detected at the first cycle of parent arcs).
+    Every arc ``(u, v, w)`` then satisfies ``pot[u] + w >= pot[v]``:
+    the potentials make all weights non-negative (Johnson's
+    reweighting).
     """
-    pot = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for u, v, w in arcs:
-            cand = pot[u] + w
-            if cand < pot[v]:
-                pot[v] = cand
-                changed = True
-        if not changed:
-            return pot
-    return None
+    pot, cycle = _relax(n, arcs)
+    return pot if cycle is None else None
 
 
-def _tight_edges(
+def _settle(
     graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn
-) -> list[tuple[Edge, int, int]]:
-    """``(edge, src index, dst index)`` of each edge tight under the
-    :func:`potentials` of the reduced weights for ``mean``, in edge
-    order (indices follow ``graph.nodes``); the shared core of
-    :func:`critical_cycle` and :func:`critical_edges`.
-
+) -> tuple[list[tuple[int, int, int]], list[int]]:
+    """The reduced arcs for ``mean`` and their :func:`potentials`;
     ``ValueError`` when relaxation does not settle (``mean`` is not
-    minimal).
-    """
+    minimal)."""
     index, arcs = reduced_arcs(graph, weight, mean, time)
     pot = potentials(len(index), arcs)
     if pot is None:
         raise ValueError("negative cycle: supplied mean is not minimal")
+    return arcs, pot
+
+
+def _tight_edges(
+    graph: Digraph, arcs: list[tuple[int, int, int]], pot: list[int]
+) -> list[tuple[Edge, int, int]]:
+    """``(edge, src index, dst index)`` of each edge tight under the
+    settled potentials ``pot`` of the reduced ``arcs`` (one per edge of
+    ``graph``, see :func:`reduced_arcs`), in edge order; the shared
+    core of the witness, :func:`critical_cycle` and
+    :func:`critical_edges`.
+    """
     return [
         (edge, u, v)
         for edge, (u, v, w) in zip(graph.edges, arcs)
@@ -251,34 +303,23 @@ def _tight_edges(
     ]
 
 
-def critical_cycle(
-    graph: Digraph,
-    weight: WeightFn,
-    mean: Fraction,
-    time: TimeFn = _unit_time,
+def _tight_cycle(
+    graph: Digraph, tight: list[tuple[Edge, int, int]]
 ) -> list[Edge]:
-    """Extract one cycle whose weight/time ratio equals ``mean``.
-
-    ``mean`` must be the *minimum* cycle ratio.  Uses the standard
-    reduction: with reduced integer weights ``w'(e) = q*w(e) - p*t(e)``
-    for ``mean = p/q``, every cycle has non-negative reduced weight and
-    critical cycles have exactly zero.  Bellman--Ford potentials then
-    make critical-cycle edges *tight* (``pot[u] + w' == pot[v]``), and
-    any cycle of tight edges is critical.  With the default unit
-    ``time`` this is the minimum cycle *mean* witness.
-    """
-    # Tight subgraph; any directed cycle in it attains the mean.
-    tight: dict[Hashable, list[Edge]] = {node: [] for node in graph.nodes}
-    for edge, _, _ in _tight_edges(graph, weight, mean, time):
-        tight[edge.src].append(edge)
+    """The first cycle of tight edges a depth-first search meets, roots
+    in ``graph.nodes`` order and edges in key order; any cycle of
+    tight edges attains the minimum ratio."""
+    adjacency: dict[Hashable, list[Edge]] = {node: [] for node in graph.nodes}
+    for edge, _, _ in tight:
+        adjacency[edge.src].append(edge)
 
     # Iterative DFS for a cycle among tight edges.
     color: dict[Hashable, int] = {}  # 0 absent, 1 on stack, 2 done
     parent_edge: dict[Hashable, Edge] = {}
     for root in graph.nodes:
-        if color.get(root, 0) == 2 or not tight[root]:
+        if color.get(root, 0) == 2 or not adjacency[root]:
             continue
-        stack: list[tuple[Hashable, iter]] = [(root, iter(tight[root]))]
+        stack: list[tuple[Hashable, iter]] = [(root, iter(adjacency[root]))]
         color[root] = 1
         while stack:
             node, it = stack[-1]
@@ -299,13 +340,35 @@ def critical_cycle(
                 if state == 0:
                     color[dst] = 1
                     parent_edge[dst] = edge
-                    stack.append((dst, iter(tight[dst])))
+                    stack.append((dst, iter(adjacency[dst])))
                     advanced = True
                     break
             if not advanced:
                 color[node] = 2
                 stack.pop()
     raise ValueError("no critical cycle found: supplied mean is not attained")
+
+
+def critical_cycle(
+    graph: Digraph,
+    weight: WeightFn,
+    mean: Fraction,
+    time: TimeFn = _unit_time,
+) -> list[Edge]:
+    """Extract one cycle whose weight/time ratio equals ``mean``.
+
+    ``mean`` must be the *minimum* cycle ratio.  Uses the standard
+    reduction: with reduced integer weights ``w'(e) = q*w(e) - p*t(e)``
+    for ``mean = p/q``, every cycle has non-negative reduced weight and
+    critical cycles have exactly zero.  Bellman--Ford potentials then
+    make critical-cycle edges *tight* (``pot[u] + w' == pot[v]``), and
+    any cycle of tight edges is critical.  With the default unit
+    ``time`` this is the minimum cycle *mean* witness; it is the same
+    cycle :func:`minimum_cycle_ratio` returns for its minimum.
+    """
+    return _tight_cycle(
+        graph, _tight_edges(graph, *_settle(graph, weight, mean, time))
+    )
 
 
 def critical_edges(
@@ -326,7 +389,7 @@ def critical_edges(
     Unlike enumerating all critical cycles (potentially exponential),
     this runs in O(nm) and is what the bottleneck reports use.
     """
-    tight = _tight_edges(graph, weight, mean, time)
+    tight = _tight_edges(graph, *_settle(graph, weight, mean, time))
     adjacency: list[list[int]] = [[] for _ in range(graph.number_of_nodes())]
     for _, u, v in tight:
         adjacency[u].append(v)
@@ -339,14 +402,78 @@ def critical_edges(
     return {edge.key for edge, u, v in tight if component_of[u] == component_of[v]}
 
 
-def minimum_cycle_mean(
-    graph: Digraph, weight: WeightFn
+# ----------------------------------------------------------------------
+# The parametric search
+# ----------------------------------------------------------------------
+def _parametric_search(
+    graph: Digraph, weight: WeightFn, time: TimeFn, below: Fraction | None
 ) -> CycleMeanResult | None:
-    """Minimum cycle mean with a witness cycle; ``None`` if acyclic."""
-    mean = karp_minimum_cycle_mean(graph, weight)
-    if mean is None:
+    """The minimum cycle ratio with its witness, when some cycle's
+    ratio lies below ``below`` (default: above every ratio); else
+    ``None``.
+
+    Each round relaxes the reduced weights of the candidate ``lam``
+    from zero potentials.  A parent cycle is negative, so its ratio is
+    below ``lam`` and becomes the next candidate: ``lam`` falls
+    strictly through the ratios of simple cycles, and the search stops.
+    Once a round settles, no cycle lies below ``lam``; its potentials
+    are the ones :func:`critical_cycle` computes for ``lam``, and give
+    the same witness.
+    """
+    index = {node: i for i, node in enumerate(graph.nodes)}
+    ends = [(index[edge.src], index[edge.dst]) for edge in graph.edges]
+    weights = [weight(edge) for edge in graph.edges]
+    times = [time(edge) for edge in graph.edges]
+    if below is None:
+        # With times >= 1, no cycle's ratio exceeds max(0, max weight).
+        below = Fraction(max([0, *weights]) + 1)
+    lam = below
+    while True:
+        p, q = lam.numerator, lam.denominator
+        arcs = [(u, v, q * w - p * t) for (u, v), w, t in zip(ends, weights, times)]
+        pot, cycle = _relax(len(index), arcs)
+        if cycle is None:
+            break
+        lam = Fraction(sum(weights[i] for i in cycle), sum(times[i] for i in cycle))
+    if lam == below:
         return None
-    return CycleMeanResult(mean=mean, cycle=critical_cycle(graph, weight, mean))
+    return CycleMeanResult(
+        mean=lam, cycle=_tight_cycle(graph, _tight_edges(graph, arcs, pot))
+    )
+
+
+def minimum_cycle_mean(
+    graph: Digraph, weight: WeightFn, *, below: Fraction | None = None
+) -> CycleMeanResult | None:
+    """Minimum cycle mean with a witness cycle; ``None`` if acyclic.
+
+    With ``below`` the search starts there rather than above every
+    mean, and returns ``None`` unless some cycle's mean is strictly
+    below it: an MST, ``min(1, mean)``, needs only ``below=1``.
+    """
+    return _parametric_search(graph, weight, _unit_time, below)
+
+
+def minimum_cycle_ratio(
+    graph: Digraph,
+    weight: WeightFn,
+    time: TimeFn,
+    *,
+    below: Fraction | None = None,
+) -> CycleMeanResult | None:
+    """Minimum cycle ratio (sum of weights / sum of times) with witness.
+
+    The generalization the paper's footnote 3 needs: shells wrapping
+    pipelined cores of latency L contribute L time units per firing, so
+    the cycle time of a loop through them is tokens / (hop count plus
+    extra latency).  Times must be positive integers; returns ``None``
+    for acyclic graphs, and ``below`` works as in
+    :func:`minimum_cycle_mean`.
+    """
+    for edge in graph.edges:
+        if time(edge) <= 0:
+            raise ValueError(f"non-positive time on edge {edge.key}")
+    return _parametric_search(graph, weight, time, below)
 
 
 # ----------------------------------------------------------------------
@@ -471,41 +598,14 @@ def _howard_on_scc(
 
 
 def howard_minimum_cycle_mean(
-    graph: Digraph, weight: WeightFn
+    graph: Digraph, weight: WeightFn, time: TimeFn = _unit_time
 ) -> Fraction | None:
-    """Minimum cycle mean via Howard's policy iteration; ``None`` if acyclic."""
+    """Minimum cycle mean via Howard's policy iteration; ``None`` if
+    acyclic.  With ``time``, the minimum cycle ratio: the oracle the
+    tests check :func:`minimum_cycle_ratio` against."""
     best: Fraction | None = None
     for component in _cyclic_sccs(graph):
-        mean = _howard_on_scc(graph, component, weight)
+        mean = _howard_on_scc(graph, component, weight, time)
         if best is None or mean < best:
             best = mean
     return best
-
-
-def minimum_cycle_ratio(
-    graph: Digraph, weight: WeightFn, time: TimeFn
-) -> CycleMeanResult | None:
-    """Minimum cycle ratio (sum of weights / sum of times) with witness.
-
-    The generalization the paper's footnote 3 needs: shells wrapping
-    pipelined cores of latency L contribute L time units per firing, so
-    the cycle time of a loop through them is tokens / (hop count plus
-    extra latency).  Times must be positive integers; returns ``None``
-    for acyclic graphs.
-
-    Implemented with Howard's policy iteration (exact rational
-    arithmetic) plus the Bellman--Ford reduction for the witness
-    cycle.
-    """
-    for edge in graph.edges:
-        if time(edge) <= 0:
-            raise ValueError(f"non-positive time on edge {edge.key}")
-    best: Fraction | None = None
-    for component in _cyclic_sccs(graph):
-        ratio = _howard_on_scc(graph, component, weight, time)
-        if best is None or ratio < best:
-            best = ratio
-    if best is None:
-        return None
-    witness = critical_cycle(graph, weight, best, time)
-    return CycleMeanResult(mean=best, cycle=witness)

@@ -122,8 +122,8 @@ def test_stats_json_accumulates_context_counters(tmp_path):
 def test_sizing_request_derives_each_artifact_once(monkeypatch):
     """A size_queues op then an analyze op on one fresh Table-IV system
     serialize it once per op, lower each of the base and the collapsed
-    system once, and run Karp once per doubled lowering's SCC: the
-    ideal graph's other SCCs cannot lower the minimum."""
+    system once, and search for a minimum cycle mean twice: the ideal
+    MST and the practical MST."""
     from repro.gen import GeneratorConfig, generate_lis
 
     calls: Counter = Counter()
@@ -148,8 +148,8 @@ def test_sizing_request_derives_each_artifact_once(monkeypatch):
         )
     monkeypatch.setattr(
         repro.graphs.mcm,
-        "_karp_on_scc",
-        counted("_karp_on_scc", repro.graphs.mcm._karp_on_scc),
+        "_parametric_search",
+        counted("_parametric_search", repro.graphs.mcm._parametric_search),
     )
 
     lis = generate_lis(GeneratorConfig(v=100, s=10, c=5, rs=10, seed=1))
@@ -161,5 +161,5 @@ def test_sizing_request_derives_each_artifact_once(monkeypatch):
         "lis_to_json": 2,
         "ideal_marked_graph": 2,
         "doubled_marked_graph": 2,
-        "_karp_on_scc": 2,
+        "_parametric_search": 2,
     }

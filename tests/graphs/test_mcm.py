@@ -1,8 +1,8 @@
-"""Tests for minimum-cycle-mean algorithms (Karp, Howard, witness cycles)."""
+"""Tests for minimum-cycle-mean algorithms (the parametric search,
+Karp, Howard, witness cycles)."""
 
 import contextlib
 import signal
-import sys
 from fractions import Fraction
 
 import pytest
@@ -12,8 +12,15 @@ from hypothesis import strategies as st
 from repro.analysis import Context
 from repro.core import analyze
 from repro.core.marked_graph import place_tokens
-from repro.core.throughput import ideal_mst, ideal_mst_compact
-from repro.gen import GeneratorConfig, fig15_lis, generate_lis, mesh_lis
+from repro.core.throughput import ideal_mst, ideal_mst_compact, mst
+from repro.dsl import CORPUS, corpus_system
+from repro.gen import (
+    GeneratorConfig,
+    fig15_lis,
+    generate_lis,
+    mesh_lis,
+    named_system,
+)
 from repro.graphs import (
     Digraph,
     critical_cycle,
@@ -22,10 +29,21 @@ from repro.graphs import (
     karp_minimum_cycle_mean,
     mcm,
     minimum_cycle_mean,
+    minimum_cycle_ratio,
 )
 from tests.strategies import weighted_digraphs
 
 W = lambda e: e.data["w"]  # noqa: E731
+T = lambda e: e.data["t"]  # noqa: E731
+
+
+def searched(g, weight=W, time=None):
+    """The minimum cycle mean (or ratio, with ``time``) of the search."""
+    if time is None:
+        result = minimum_cycle_mean(g, weight)
+    else:
+        result = minimum_cycle_ratio(g, weight, time)
+    return None if result is None else result.mean
 
 
 def brute_force_mcm(g):
@@ -120,14 +138,39 @@ def test_cycle_mean_result_tokens_property():
 @settings(max_examples=80)
 def test_karp_matches_brute_force(g):
     """Negative weights give negative candidate numerators: Karp's
-    cross-multiplied comparisons must still order them exactly."""
-    assert karp_minimum_cycle_mean(g, W) == brute_force_mcm(g)
+    cross-multiplied comparisons must still order them exactly, and
+    the search's reduced weights must still find every cycle below
+    its candidate."""
+    brute = brute_force_mcm(g)
+    assert karp_minimum_cycle_mean(g, W) == brute
+    assert searched(g) == brute
 
 
 @given(weighted_digraphs())
 @settings(max_examples=80)
 def test_howard_matches_karp(g):
-    assert howard_minimum_cycle_mean(g, W) == karp_minimum_cycle_mean(g, W)
+    karp = karp_minimum_cycle_mean(g, W)
+    assert howard_minimum_cycle_mean(g, W) == karp
+    assert searched(g) == karp
+
+
+@given(weighted_digraphs(min_weight=-4), st.data())
+@settings(max_examples=80)
+def test_search_matches_howard_on_cycle_ratios(g, data):
+    """Minimum cycle *ratio* with times 1-3: the search against
+    Howard's policy iteration, and its witness attains the ratio."""
+    for edge in g.edges:
+        edge.data["t"] = data.draw(st.integers(1, 3))
+    result = minimum_cycle_ratio(g, W, T)
+    assert searched(g, time=T) == howard_minimum_cycle_mean(g, W, T)
+    if result is not None:
+        cycle = result.cycle
+        assert Fraction(sum(map(W, cycle)), sum(map(T, cycle))) == result.mean
+    if g.number_of_edges():
+        edge = data.draw(st.sampled_from(list(g.edges)))
+        edge.data["t"] = data.draw(st.integers(-2, 0))
+        with pytest.raises(ValueError, match="non-positive time"):
+            minimum_cycle_ratio(g, W, T)
 
 
 @given(weighted_digraphs())
@@ -180,7 +223,8 @@ def test_howard_terminates_on_meshes_with_relays(seed, relays):
 
 
 def test_minimum_cycle_ratio_terminates_on_mesh_with_relays():
-    """The same loop backs minimum_cycle_ratio (ideal_mst_compact)."""
+    """ideal_mst_compact (minimum_cycle_ratio) on a mesh on which
+    Howard's policy iteration, its engine before the search, looped."""
     lis = mesh_lis(4, 4, relays=5, seed=420495362)
     with _deadline(1.0):
         compact = ideal_mst_compact(lis)
@@ -200,10 +244,12 @@ def test_howard_matches_karp_on_meshes_with_relays(shape, relays, seed, torus):
         with _deadline(5.0):
             mean = howard_minimum_cycle_mean(marked.graph, place_tokens)
         assert mean == karp_minimum_cycle_mean(marked.graph, place_tokens)
+        assert mean == searched(marked.graph, place_tokens)
 
 
 # ----------------------------------------------------------------------
-# Karp on Table-IV doubled graphs (one SCC of 110-210 nodes each)
+# The search and Karp on Table-IV doubled graphs (one SCC of 110-210
+# nodes each)
 # ----------------------------------------------------------------------
 #: (v, s, seed) -> practical MST of ``generate_lis(v, s, c=5, rs=10)``.
 TABLE_IV_DOUBLED_MST = {
@@ -226,27 +272,83 @@ def test_karp_matches_howard_and_golden_on_table_iv_doubled_graphs(v, s, seed):
     karp = karp_minimum_cycle_mean(graph, place_tokens)
     assert karp == howard_minimum_cycle_mean(graph, place_tokens)
     assert karp == TABLE_IV_DOUBLED_MST[v, s, seed]
+    assert searched(graph, place_tokens) == karp
 
 
-def test_fresh_context_analyze_runs_karp_twice(monkeypatch):
+def test_search_restarts_down_to_the_ablation_v40_mean(monkeypatch):
+    """The v = 40 doubled graph of the MCM ablation: the search lowers
+    its candidate round by round to the enumerated minimum."""
+    lis = generate_lis(
+        GeneratorConfig(v=40, s=3, c=2, rs=6, rp=True, policy="scc", seed=40)
+    )
+    graph = lis.doubled_marked_graph().graph
+    rounds = []
+    relax = mcm._relax
+
+    def counting(n, arcs):
+        rounds.append(n)
+        return relax(n, arcs)
+
+    monkeypatch.setattr(mcm, "_relax", counting)
+    mean = searched(graph, place_tokens)
+    assert len(rounds) > 1
+    assert mean == Fraction(19, 23) == karp_minimum_cycle_mean(graph, place_tokens)
+    best = min(
+        Fraction(sum(map(place_tokens, cycle)), len(cycle))
+        for cycle in elementary_edge_cycles(graph)
+    )
+    assert mean == best
+
+
+def _witness_systems():
+    systems = {name: (named_system, name) for name in ("fig15", "cofdm", "fig19")}
+    systems["mesh:4x4"] = (named_system, "mesh:4x4")
+    for name in sorted(CORPUS):
+        systems[f"dsl:{name}"] = (lambda n: corpus_system(n).lower(), name)
+    for v, s, seed in sorted(TABLE_IV_DOUBLED_MST):
+        config = GeneratorConfig(v=v, s=s, c=5, rs=10, seed=seed)
+        systems[f"table4:{v}:{s}:{seed}"] = (generate_lis, config)
+    return systems
+
+
+WITNESS_SYSTEMS = _witness_systems()
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_SYSTEMS))
+def test_mst_witness_is_the_critical_cycle_of_its_mean(name):
+    """``mst`` reads its witness from the search's settled potentials:
+    place for place the cycle ``critical_cycle`` extracts afresh."""
+    build, arg = WITNESS_SYSTEMS[name]
+    lis = build(arg)
+    for mg in (lis.ideal_marked_graph(), lis.doubled_marked_graph()):
+        result = mst(mg)
+        if result.critical is None:
+            assert result.mst == 1
+            continue
+        expected = critical_cycle(mg.graph, place_tokens, result.mst)
+        assert [p.key for p in result.critical] == [p.key for p in expected]
+
+
+def test_fresh_context_analyze_searches_twice(monkeypatch):
     """Ideal MST and practical MST.  The bottleneck report reuses the
     memoized practical MST, and the sized system reaches the ideal MST,
-    which one Bellman--Ford pass shows without Karp."""
-    original = mcm.karp_minimum_cycle_mean
-    calls = []
+    which one Bellman--Ford pass shows without a search; Karp, the
+    reference, never runs."""
+    calls = {"search": 0, "karp": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    # ``from ... import`` copies the name: patch every holder.
-    for module in list(sys.modules.values()):
-        if not getattr(module, "__name__", "").startswith("repro"):
-            continue
-        if getattr(module, "karp_minimum_cycle_mean", None) is original:
-            monkeypatch.setattr(module, "karp_minimum_cycle_mean", counting)
+        return wrapper
+
+    monkeypatch.setattr(
+        mcm, "_parametric_search", counting("search", mcm._parametric_search)
+    )
+    monkeypatch.setattr(mcm, "_karp_on_scc", counting("karp", mcm._karp_on_scc))
     report = analyze(Context(fig15_lis()))
     assert (report.ideal, report.practical) == (Fraction(5, 6), Fraction(3, 4))
     assert report.bottlenecks
     assert report.fix.achieved == report.ideal
-    assert len(calls) == 2
+    assert calls == {"search": 2, "karp": 0}
