@@ -13,11 +13,12 @@ ephemeral port:
   coalescing + caching deliver >= 5x the baseline throughput.
 
 * **Phase B -- mid-load M/M/1 cross-check.**  An open-loop Poisson
-  arrival process of *unique* ``simulate`` jobs (horizon lengths drawn
-  from an exponential, so service times are near-exponential) drives a
-  single shard to rho ~ 0.5; the server's own queueing self-model
-  (``/stats``) must then predict the mean queue wait within 25% of
-  what it measured (Hill's M/M/1 applied to the server itself).
+  arrival process of *unique* ``measure`` jobs on the stepping
+  ``fast`` backend (horizon lengths drawn from an exponential, so
+  service times are near-exponential) drives a single shard to
+  rho ~ 0.5; the server's own queueing self-model (``/stats``) must
+  then predict the mean queue wait within 25% of what it measured
+  (Hill's M/M/1 applied to the server itself).
 
 Both numbers land in ``benchmarks/results/server_load.json`` so
 ``check_regression.py`` can guard them in CI (``--floor`` for the
@@ -139,11 +140,14 @@ async def run_mm1_phase():
     seen_clocks = set()
 
     def unique_job(_i):
-        # Service time is linear in the horizon, so exponential
-        # horizons give near-exponential service (the fixed per-op
-        # overhead pulls cv^2 a little under 1).  Unique horizons keep
-        # every fingerprint distinct, so neither coalescing nor the
-        # cache can help -- each request is real work.
+        # The fast backend steps the kernel, so service time is linear
+        # in the horizon and exponential horizons give near-exponential
+        # service (the fixed per-op overhead pulls cv^2 a little under
+        # 1).  A ``simulate`` job would not do: it answers from the
+        # periodic schedule at a cost that does not grow with the
+        # horizon.  Unique horizons keep every fingerprint distinct, so
+        # neither coalescing nor the cache can help -- each request is
+        # real work.
         while True:
             clocks = max(
                 200, int(rng.expovariate(1.0 / MM1_MEAN_CLOCKS))
@@ -152,10 +156,10 @@ async def run_mm1_phase():
                 seen_clocks.add(clocks)
                 break
         return (
-            "simulate",
+            "measure",
             {
                 "system": "fig15",
-                "options": {"clocks": clocks, "warmup": 100},
+                "options": {"backend": "fast", "clocks": clocks, "warmup": 100},
             },
         )
 

@@ -174,6 +174,8 @@ class Context:
         #: Built artifacts by ``(artifact, key)`` (see :meth:`_memo`).
         self._artifacts: dict[tuple[str, Hashable], Any] = {}
         self._sizable: dict[int, int] | None = None
+        #: The largest ``max_cycles`` budget an enumeration overflowed.
+        self._overflowed = -1
 
     @property
     def lis_json(self) -> str:
@@ -348,12 +350,25 @@ class Context:
     # ------------------------------------------------------------------
     def _base_records(self, max_cycles: int | None) -> list[CycleRecord]:
         # Any *successful* enumeration is complete (max_cycles only
-        # aborts), so the first one serves all budgets.
-        records = self._memo(
-            "cycles",
-            (),
-            lambda: cycle_records(self.doubled_master(), max_cycles=max_cycles),
-        )
+        # aborts), so the first one serves all budgets.  An overflow
+        # is remembered by its budget: a budget no larger overflows
+        # too, so it fails at once with the enumeration's message.
+        if max_cycles is not None and max_cycles <= self._overflowed:
+            raise CycleExplosionError(
+                f"more than {max_cycles} elementary cycles"
+            )
+        try:
+            records = self._memo(
+                "cycles",
+                (),
+                lambda: cycle_records(
+                    self.doubled_master(), max_cycles=max_cycles
+                ),
+            )
+        except CycleExplosionError:
+            with self._lock:
+                self._overflowed = max(self._overflowed, max_cycles)
+            raise
         if max_cycles is not None and len(records) > max_cycles:
             raise CycleExplosionError(
                 f"cycle enumeration exceeded budget of {max_cycles}"

@@ -299,8 +299,8 @@ def _op_exhaustive_placement(ctx: Context, options: dict):
 
 
 def _op_simulate_batch(ctx: Context, options: dict):
-    """Vectorized batch simulation of one topology under many
-    queue-sizing assignments (:mod:`repro.sim`).
+    """Batch simulation of one topology under many queue-sizing
+    assignments (:mod:`repro.sim`).
 
     Options: ``assignments`` (list of ``{channel id: extra tokens}``;
     default ``[{}]``), ``clocks`` (measured cycles, default 400),
@@ -308,15 +308,27 @@ def _op_simulate_batch(ctx: Context, options: dict):
     ``check_feasible`` (default False: also validate every assignment
     against the *unsimplified* token-deficit kernel in one batch
     matrix check, reported as a ``feasible`` flag per assignment),
-    ``backend`` (``"fast"``, the default, or ``"schedule"``: answer
-    from the analytic oracle instead of stepping clocks -- exact
-    asymptotic rates and infinite-horizon peak occupancies, falling
-    back to ``fast`` when the oracle does not support the system).
-    Returns one dict per assignment: ``throughput`` ({shell: Fraction}
-    over the measurement window) and ``max_occupancy`` ({channel id:
-    peak items on the consumer shell's queue}).
+    ``backend`` (``"fast"``, the default, or ``"schedule"``: exact
+    asymptotic rates and infinite-horizon peak occupancies instead of
+    the window's, falling back to ``fast`` when the oracle does not
+    support the system).  Returns one dict per assignment:
+    ``throughput`` ({shell: Fraction} over the measurement window) and
+    ``max_occupancy`` ({channel id: peak items on the consumer shell's
+    queue}).
+
+    Both backends walk each assignment's eventually-periodic schedule
+    afresh (:func:`repro.schedule.derive_schedule`) and keep nothing
+    per assignment.  ``fast`` answers from the walks when the whole
+    batch's transients and periods fit one budget of a quarter of
+    ``warmup + clocks`` steps, so each of them lies inside the
+    horizon: window counts are prefix/period arithmetic and the peak
+    over one orbit is the simulator's peak.  Otherwise it steps the
+    batch with :class:`~repro.sim.BatchSimulator`.  Either way the
+    answers are the simulator's; meta ``simulated_cycles`` is 0 when
+    nothing was stepped.
     """
-    from ..sim import BatchSimulator
+    from ..schedule.oracle import derive_schedule
+    from ..sim.batch import check_window
 
     assignments = [
         {int(c): int(x) for c, x in a.items()}
@@ -343,39 +355,82 @@ def _op_simulate_batch(ctx: Context, options: dict):
         if not get_backend("schedule").supports(ctx):
             backend = "fast"
 
-    out = []
+    simulated = 0
     if backend == "schedule":
-        for b, extra in enumerate(assignments):
-            oracle = ctx.schedule_oracle(extra)
-            entry = {
-                "throughput": oracle.shell_throughputs(),
-                "max_occupancy": oracle.max_queue_occupancy(),
-            }
-            if flags is not None:
-                entry["feasible"] = flags[b]
-            out.append(entry)
-        meta = {"solver_calls": 0, "simulated_cycles": 0}
+        answers = []
+        for extra in assignments:
+            oracle = derive_schedule(ctx, extra)
+            answers.append(
+                (oracle.shell_throughputs(), oracle.max_queue_occupancy())
+            )
     else:
-        sim = BatchSimulator(ctx, assignments)
-        result = sim.run(warmup + clocks, warmup=warmup)
-        compiled = sim.compiled
-        for b in range(result.width):
-            rates = result.throughput(b)
-            entry = {
-                "throughput": {
-                    name: rates[name]
-                    for i, name in enumerate(compiled.node_names)
-                    if compiled.is_shell[i]
-                },
-                "max_occupancy": result.max_queue_occupancy(b),
-            }
-            if flags is not None:
-                entry["feasible"] = flags[b]
-            out.append(entry)
-        meta = {"solver_calls": 0, "simulated_cycles": warmup + clocks}
+        horizon = warmup + clocks
+        check_window(horizon, warmup)
+        ctx.compiled().initial_tokens(assignments)  # refuse before walking
+        answers = _derived_windows(ctx, assignments, horizon, warmup)
+        if answers is None:
+            simulated = horizon
+            answers = _stepped_windows(ctx, assignments, horizon, warmup)
+    out = []
+    for b, (throughput, occupancy) in enumerate(answers):
+        entry = {"throughput": throughput, "max_occupancy": occupancy}
+        if flags is not None:
+            entry["feasible"] = flags[b]
+        out.append(entry)
+    meta = {"solver_calls": 0, "simulated_cycles": simulated}
     if solver_meta:
         meta["solver"] = solver_meta
     return out, meta
+
+
+def _derived_windows(
+    ctx: Context, assignments: list[dict], horizon: int, warmup: int
+) -> list[tuple[dict, dict]] | None:
+    """Each assignment's shell rates over clocks ``[warmup, horizon)``
+    and its peak occupancies, from its schedule; ``None`` when the
+    walks exhaust their shared budget of ``horizon // 4`` steps
+    (THEORY.md section 6 bounds what that costs a batch that then
+    steps)."""
+    from ..core.scheduling import ScheduleError
+    from ..schedule.oracle import derive_schedule
+
+    clocks = horizon - warmup
+    remaining = horizon // 4
+    answers = []
+    for extra in assignments:
+        try:
+            oracle = derive_schedule(ctx, extra, max_steps=remaining)
+        except ScheduleError:
+            return None
+        remaining -= oracle.transient + oracle.hyperperiod
+        counts = oracle.window_firings(horizon, warmup)
+        shells = {
+            name: Fraction(int(counts[i]), clocks)
+            for i, name in enumerate(oracle.node_names)
+            if oracle.is_shell[i]
+        }
+        answers.append((shells, oracle.max_queue_occupancy()))
+    return answers
+
+
+def _stepped_windows(
+    ctx: Context, assignments: list[dict], horizon: int, warmup: int
+) -> list[tuple[dict, dict]]:
+    """The same answers by stepping the batch ``horizon`` clocks."""
+    from ..sim import BatchSimulator
+
+    result = BatchSimulator(ctx, assignments).run(horizon, warmup=warmup)
+    compiled = result.compiled
+    answers = []
+    for b in range(result.width):
+        rates = result.throughput(b)
+        shells = {
+            name: rates[name]
+            for i, name in enumerate(compiled.node_names)
+            if compiled.is_shell[i]
+        }
+        answers.append((shells, result.max_queue_occupancy(b)))
+    return answers
 
 
 def _op_fault_trial(ctx: Context, options: dict):

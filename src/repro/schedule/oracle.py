@@ -123,25 +123,29 @@ class ScheduleOracle:
     # ------------------------------------------------------------------
     # Exact finite-horizon predictions (what a simulator would measure)
     # ------------------------------------------------------------------
-    def _firings_before(self, node: Hashable, clock: int) -> int:
-        i = self.node_index[node]
+    def _firings_before(self, clock: int) -> np.ndarray:
+        """Firings of every node in clocks ``[0, clock)``."""
         if clock <= self.transient:
-            return int(self.prefix_fired[:clock, i].sum())
-        total = int(self.prefix_fired[:, i].sum())
-        steady = clock - self.transient
-        full, rem = divmod(steady, self.hyperperiod)
-        word = self.period_fired[:, i]
-        return total + full * int(word.sum()) + int(word[:rem].sum())
+            return self.prefix_fired[:clock].sum(axis=0)
+        full, rem = divmod(clock - self.transient, self.hyperperiod)
+        period = self.period_fired
+        return (
+            self.prefix_fired.sum(axis=0)
+            + full * period.sum(axis=0)
+            + period[:rem].sum(axis=0)
+        )
+
+    def window_firings(self, clocks: int, warmup: int = 0) -> np.ndarray:
+        """:meth:`firings` of every node at once, in node-index order."""
+        if not 0 <= warmup <= clocks:
+            raise ValueError("need 0 <= warmup <= clocks")
+        return self._firings_before(clocks) - self._firings_before(warmup)
 
     def firings(self, node: Hashable, clocks: int, warmup: int = 0) -> int:
         """Exact number of firings of ``node`` in clocks
         ``[warmup, clocks)`` -- cycle-equal to running any simulator
         that long and counting."""
-        if not 0 <= warmup <= clocks:
-            raise ValueError("need 0 <= warmup <= clocks")
-        return self._firings_before(node, clocks) - self._firings_before(
-            node, warmup
-        )
+        return int(self.window_firings(clocks, warmup)[self.node_index[node]])
 
     def firing_plan(self, node: Hashable, clocks: int) -> list[bool]:
         """Whether ``node`` fires on each of the first ``clocks`` cycles

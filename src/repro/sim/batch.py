@@ -29,6 +29,15 @@ __all__ = [
 ]
 
 
+def check_window(clocks: int, warmup: int) -> None:
+    """Refuse a run of ``clocks`` steps that counts firings from step
+    ``warmup`` unless ``0 <= warmup < clocks`` (``ValueError``)."""
+    if clocks <= 0:
+        raise ValueError("clocks must be positive")
+    if not 0 <= warmup < clocks:
+        raise ValueError("warmup must satisfy 0 <= warmup < clocks")
+
+
 class BatchRunResult:
     """Outcome of one batched run: per-configuration firing counts over
     the measurement window, peak queue occupancies, and (when recorded)
@@ -148,10 +157,7 @@ class BatchSimulator:
         :mod:`repro.stochastic` uses to run Monte-Carlo trials as the
         batch axis.
         """
-        if clocks <= 0:
-            raise ValueError("clocks must be positive")
-        if not 0 <= warmup < clocks:
-            raise ValueError("warmup must satisfy 0 <= warmup < clocks")
+        check_window(clocks, warmup)
         compiled = self.compiled
         if stall_mask is not None:
             stall_mask = np.asarray(stall_mask, dtype=bool)

@@ -36,7 +36,12 @@ closed form exists; the estimator falls back to the effective-
 bandwidth bound: each cycle ``c`` of rate ``r_c = tokens/length`` is
 slowed to at most ``r_c * (1 - p_c)`` where ``p_c`` combines the
 long-run stall fractions of the specs hitting that cycle, and the
-system rate is bounded by the slowest dilated cycle.  Tails are then
+system rate is bounded by the slowest dilated cycle.  When every spec
+gates every transition (scopes ``all`` and ``global``), ``p_c`` is one
+``p`` for all cycles and the slowest dilated cycle is the one of least
+mean, so one minimum-cycle-mean search replaces the enumeration
+(:func:`effective_rate`); specs on proper node subsets still
+enumerate, within a budget.  Tails are then
 approximated by the global model at the matching dilation -- a
 heuristic, flagged ``exact=False``, sanity-bracketed (not pinned) by
 the tests.  The delay tail's large-deviations exponent is exact per
@@ -56,6 +61,7 @@ import numpy as np
 from ..analysis.context import Context, get_context
 from ..core.cycles import CycleExplosionError
 from ..core.lis_graph import LisGraph
+from ..graphs.mcm import minimum_cycle_mean
 from .montecarlo import MonteCarloResult, quantile_name
 from .spec import StochasticSpec, _targets
 
@@ -267,17 +273,37 @@ def effective_rate(
 ) -> float:
     """The effective-bandwidth rate bound: the slowest cycle after
     dilating each cycle's rate by the stall fractions of the specs
-    whose targets touch it.  Falls back to dilating the global rate by
-    the worst combined fraction when cycle enumeration exceeds budget.
+    whose targets touch it, and never above the deterministic rate.
+
+    When every spec gates every transition, each cycle is dilated by
+    the same combined fraction ``p``, and the bound is
+    ``min(r0, MCM * (1 - p))`` with the minimum cycle mean (MCM) of the
+    doubled graph, found by the search without listing cycles.  This
+    is the enumeration's answer float for float (THEORY.md section 7).
+    Otherwise up to 5,000 cycles are enumerated; beyond that budget
+    the global rate is dilated by the combined fraction of all specs.
     """
     specs = list(specs)
-    oracle = ctx.schedule_oracle(dict(extra_tokens or {}))
+    extra = dict(extra_tokens or {})
+    oracle = ctx.schedule_oracle(extra)
     r0 = float(oracle.min_rate())
     if not specs:
         return r0
     target_sets = [set(_targets(ctx.lis, s)) for s in specs]
+    graph = ctx.doubled_master().graph
+    if all(targets.issuperset(graph.nodes) for targets in target_sets):
+        p = _combined_fraction(s.stall_fraction for s in specs)
+        backedges = ctx.sizable_backedges()
+        on_place = {backedges[cid]: tokens for cid, tokens in extra.items()}
+        found = minimum_cycle_mean(
+            graph,
+            lambda place: place.data["tokens"] + on_place.get(place.key, 0),
+        )
+        if found is None:
+            return r0
+        return max(0.0, min(r0, float(found.mean) * (1.0 - p)))
     try:
-        records = ctx.cycle_records(dict(extra_tokens or {}), max_cycles=5000)
+        records = ctx.cycle_records(extra, max_cycles=5000)
     except CycleExplosionError:
         p = _combined_fraction(s.stall_fraction for s in specs)
         return r0 * (1.0 - p)

@@ -203,6 +203,38 @@ def test_cached_enumeration_still_honours_budget():
     assert global_stats().count("cycles", "miss") == 1
 
 
+def test_overflowed_budget_is_remembered(monkeypatch):
+    import repro.analysis.context as context_module
+    from repro.core.cycles import CycleExplosionError, cycle_records
+
+    calls = []
+
+    def counting(mg, max_cycles=None):
+        calls.append(max_cycles)
+        return cycle_records(mg, max_cycles=max_cycles)
+
+    monkeypatch.setattr(context_module, "cycle_records", counting)
+    ctx = Context(examples.fig15_lis())
+    with pytest.raises(CycleExplosionError) as first:
+        ctx.cycle_records(max_cycles=3)
+    assert calls == [3]
+    # The same budget, or a smaller one, fails without enumerating,
+    # with the message the enumeration gives.
+    for budget in (3, 2):
+        with pytest.raises(CycleExplosionError) as again:
+            ctx.cycle_records({5: 1}, max_cycles=budget)
+        assert str(again.value) == f"more than {budget} elementary cycles"
+    assert str(first.value) == "more than 3 elementary cycles"
+    assert calls == [3]
+    # A larger or unbounded budget still enumerates.
+    with pytest.raises(CycleExplosionError):
+        ctx.cycle_records(max_cycles=4)
+    full = ctx.cycle_records()
+    assert calls == [3, 4, None]
+    assert len(full) > 4
+    assert global_stats().count("cycles", "miss") == 1
+
+
 def test_extra_key_validation():
     ctx = Context(fig1())
     with pytest.raises(LisError, match="unknown"):

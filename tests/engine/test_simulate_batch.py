@@ -1,10 +1,29 @@
-"""The ``simulate_batch`` engine op: caching, parallel determinism."""
+"""The ``simulate_batch`` engine op: caching, parallel determinism,
+and the derived answers of its ``fast`` path, pinned to stepping."""
 
+import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis import Context, ContextStats, get_context
+from repro.core.lis_graph import LisError
 from repro.engine import AnalysisEngine
-from repro.gen import GeneratorConfig, fig1_lis, fig15_lis, generate_lis
+from repro.engine.ops import get_op
+from repro.gen import (
+    GeneratorConfig,
+    fig1_lis,
+    fig15_lis,
+    generate_lis,
+    named_system,
+)
 from repro.sim import BatchSimulator
+
+from ..strategies import lis_graphs
+
+simulate_batch = get_op("simulate_batch")
 
 
 def batch_task(lis, assignments, clocks=200, warmup=50):
@@ -79,3 +98,145 @@ def test_disk_cache_roundtrip(tmp_path):
         second = warm.run([task])
         assert warm.stats.ops["simulate_batch"].disk_hits == 1
     assert first == second
+
+
+# ----------------------------------------------------------------------
+# The fast path answers from the schedule; stepping is the reference
+# ----------------------------------------------------------------------
+
+
+def stepped(ctx, assignments, clocks, warmup, check_feasible=False):
+    """The op's answer computed the reference way: step the whole batch."""
+    result = BatchSimulator(ctx, assignments).run(warmup + clocks, warmup=warmup)
+    compiled = result.compiled
+    flags = (
+        ctx.td_kernel(simplify=False).check_batch(assignments)
+        if check_feasible
+        else None
+    )
+    out = []
+    for b in range(result.width):
+        rates = result.throughput(b)
+        entry = {
+            "throughput": {
+                name: rates[name]
+                for i, name in enumerate(compiled.node_names)
+                if compiled.is_shell[i]
+            },
+            "max_occupancy": result.max_queue_occupancy(b),
+        }
+        if flags is not None:
+            entry["feasible"] = bool(flags[b])
+        out.append(entry)
+    return out
+
+
+@settings(max_examples=60)
+@given(lis_graphs(max_relays=2, max_latency=3, min_channels=1), st.data())
+def test_fast_path_equals_stepping(lis, data):
+    ctx = get_context(lis)
+    ids = lis.channel_ids()
+    assignments = data.draw(
+        st.lists(
+            st.dictionaries(
+                st.sampled_from(ids), st.integers(min_value=0, max_value=3)
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    warmup = data.draw(st.integers(min_value=0, max_value=20))
+    # From 1 clock up: short horizons, often shorter than a transient
+    # plus a period, leave the walks too small a budget, so the batch
+    # falls back to stepping.
+    clocks = data.draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=200, max_value=800),
+        )
+    )
+    check = data.draw(st.booleans())
+    out, meta = simulate_batch(
+        ctx,
+        {
+            "assignments": assignments,
+            "clocks": clocks,
+            "warmup": warmup,
+            "check_feasible": check,
+        },
+    )
+    assert out == stepped(ctx, assignments, clocks, warmup, check)
+    assert meta["simulated_cycles"] in (0, warmup + clocks)
+
+
+def serve_mix_batch(lis, seed):
+    """16 seeded assignments of 1-2 extra tokens on 1-3 channels."""
+    rng = random.Random(seed)
+    ids = lis.channel_ids()
+    return [
+        {c: rng.randint(1, 2) for c in rng.sample(ids, rng.randint(1, 3))}
+        for _ in range(16)
+    ]
+
+
+@pytest.mark.parametrize("system", ["fig15", "cofdm", "mesh:4x4", "torus:3x3"])
+def test_serve_mix_batches_are_derived(system):
+    ctx = get_context(named_system(system))
+    assignments = serve_mix_batch(ctx, 7)
+    out, meta = simulate_batch(
+        ctx, {"assignments": assignments, "clocks": 2000}
+    )
+    assert meta["simulated_cycles"] == 0  # no silent fallback
+    assert out == stepped(ctx, assignments, 2000, 100)
+
+
+@pytest.mark.parametrize(
+    "options, error, message",
+    [
+        ({"clocks": 0, "warmup": 0}, ValueError, "clocks must be positive"),
+        ({"clocks": 0}, ValueError, "warmup must satisfy"),
+        ({"clocks": -5}, ValueError, "warmup must satisfy"),
+        ({"warmup": -1}, ValueError, "warmup must satisfy"),
+        (
+            {"assignments": [{}, {99: 1}]},
+            LisError,
+            r"extra tokens on unknown channels: \[99\]",
+        ),
+        (
+            {"assignments": [{1: 1}, {1: -1}]},
+            LisError,
+            "negative extra tokens on channel 1",
+        ),
+    ],
+    ids=[
+        "empty-horizon",
+        "no-clocks",
+        "negative-clocks",
+        "negative-warmup",
+        "unknown-channel",
+        "negative-extra",
+    ],
+)
+def test_bad_requests_fail_as_stepping_does(options, error, message):
+    ctx = get_context(fig1_lis())
+    with pytest.raises(error, match=message):
+        simulate_batch(ctx, options)
+    assignments = options.get("assignments") or [{}]
+    warmup = options.get("warmup", 100)
+    with pytest.raises(error, match=message):
+        BatchSimulator(ctx, assignments).run(
+            warmup + options.get("clocks", 400), warmup=warmup
+        )
+
+
+@pytest.mark.parametrize("backend", ["fast", "schedule"])
+def test_distinct_assignments_leave_nothing_behind(backend):
+    ctx = Context(fig15_lis(), stats=ContextStats())
+    batches = [[{5: 1 + k // 7, 6: k % 7}] for k in range(41)]
+    simulate_batch(ctx, {"assignments": batches[0], "backend": backend})
+    misses = ctx.stats.count("schedule", "miss")
+    artifacts = len(ctx._artifacts)
+    for batch in batches[1:]:
+        simulate_batch(ctx, {"assignments": batch, "backend": backend})
+    assert ctx.stats.count("schedule", "miss") == misses
+    assert len(ctx._artifacts) == artifacts

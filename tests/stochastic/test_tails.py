@@ -4,8 +4,11 @@ and the exact/approximate split of :func:`estimate_tails`."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import get_context
+from repro.analysis import Context, ContextStats, get_context
+from repro.core import LisGraph
 from repro.gen import fig15_lis, mesh_lis
 from repro.stochastic import (
     arrival_envelope,
@@ -14,11 +17,15 @@ from repro.stochastic import (
     estimate_tails,
     periodic_stalls,
 )
+from repro.stochastic.spec import _targets
 from repro.stochastic.tails import (
+    _combined_fraction,
     default_work,
     effective_rate,
     tail_exponent,
 )
+
+from ..strategies import lis_graphs, stochastic_specs
 
 
 # ----------------------------------------------------------------------
@@ -94,6 +101,69 @@ def test_effective_rate_scoped_specs_spare_untouched_cycles():
         ctx, [burst_stalls(burst=4.0, gap=4.0, scope="all")]
     )
     assert 0.0 <= everywhere <= scoped <= r0
+
+
+def enumerated_rate(ctx, specs, extra=None):
+    """The effective-bandwidth bound by its definition: every cycle,
+    dilated by the specs that touch it (the enumeration loop)."""
+    extra = dict(extra or {})
+    r0 = float(ctx.schedule_oracle(extra).min_rate())
+    target_sets = [set(_targets(ctx.lis, s)) for s in specs]
+    best = r0
+    for record in ctx.cycle_records(extra):
+        on_cycle = set(record.node_path)
+        p_c = _combined_fraction(
+            spec.stall_fraction
+            for spec, targets in zip(specs, target_sets)
+            if targets & on_cycle
+        )
+        best = min(best, float(record.mean) * (1.0 - p_c))
+    return max(0.0, best)
+
+
+@settings(max_examples=80)
+@given(
+    lis_graphs(max_relays=2, max_latency=2),
+    st.lists(stochastic_specs(scopes=("all", "global")), min_size=1, max_size=3),
+    st.data(),
+)
+def test_closed_form_rate_equals_enumeration(lis, specs, data):
+    ids = lis.channel_ids()
+    extra = (
+        data.draw(
+            st.dictionaries(
+                st.sampled_from(ids), st.integers(min_value=0, max_value=3)
+            )
+        )
+        if ids
+        else {}
+    )
+    ctx = Context(lis, stats=ContextStats())
+    assert effective_rate(ctx, specs, extra) == enumerated_rate(
+        Context(lis), specs, extra
+    )
+    assert ctx.stats.count("cycles", "miss") == 0
+
+
+def test_closed_form_rate_does_not_clamp_the_mean_at_one():
+    """An acyclic system whose doubled graph's minimum cycle mean is
+    3/2: clamping it at 1 would give 0.95, below the true bound."""
+    lis = LisGraph()
+    for shell in "ABC":
+        lis.add_shell(shell)
+    lis.add_channel("A", "B", queue=3)
+    lis.add_channel("B", "C", queue=2)
+    lis.add_channel("A", "C", queue=3)
+    light = [bernoulli_stalls(rate=0.05, scope="all")]
+    heavy = [bernoulli_stalls(rate=0.5, scope="all")]
+    ctx = Context(lis, stats=ContextStats())
+    assert effective_rate(ctx, light) == enumerated_rate(Context(lis), light)
+    assert effective_rate(ctx, light) == 1.0
+    # 3/2 * (1 - 0.5) is below the deterministic rate 1.
+    assert effective_rate(ctx, heavy) == enumerated_rate(Context(lis), heavy)
+    assert effective_rate(ctx, heavy) == 0.75
+    assert ("cycles", ()) not in ctx._artifacts
+    assert ctx.stats.count("cycles", "miss") == 0
 
 
 # ----------------------------------------------------------------------
