@@ -3,12 +3,11 @@
 Uses the Vertex Cover reduction of Section V as a difficulty dial:
 random VC instances of growing size produce queue-sizing problems
 whose optimum equals the minimum cover.  Compares the heuristic
-(Section VII-B), the branch-and-bound exact solver, its pure-Python
-reference (``exact-ref``), the LP-based MILP solver (the Lu--Koh
-baseline style), and the LP fractional bound.
+(Section VII-B), the branch-and-bound exact solver and its
+pure-Python reference (``exact-ref``).
 
-Checks: exact == exact-ref == milp == minimum vertex cover; heuristic
-feasible and within a bounded factor; LP bound sandwiched below.
+Checks: exact == exact-ref == minimum vertex cover; heuristic
+feasible and within a bounded factor.
 
 The two exact searches each get a freshly built instance, so neither
 reuses the other's compiled kernel or memoized heuristic, and their
@@ -25,7 +24,7 @@ from repro.core.npcomplete import (
     minimum_vertex_cover,
     reduce_vertex_cover_to_qs,
 )
-from repro.core.solvers import get_solver, lp_lower_bound
+from repro.core.solvers import get_solver
 from repro.core.token_deficit import build_td_instance
 from repro.experiments import render_table, save_result_json
 
@@ -68,8 +67,6 @@ def test_ablation_solvers(benchmark, publish):
                 "exact-ref", build_td_instance(red.lis, simplify=True),
                 timeout=120,
             )
-            milp, milp_ms = timed_solve("milp", instance, timeout=120)
-            bound = lp_lower_bound(instance)
             forced = sum(instance.forced.values())
             vc = len(minimum_vertex_cover(vertices, edges))
             rows.append(
@@ -83,9 +80,6 @@ def test_ablation_solvers(benchmark, publish):
                     "exact_ms": exact_ms,
                     "exact_ref": ref + forced,
                     "exact_ref_ms": ref_ms,
-                    "milp": milp + forced,
-                    "milp_ms": milp_ms,
-                    "lp": bound + forced,
                 }
             )
         return rows
@@ -96,10 +90,8 @@ def test_ablation_solvers(benchmark, publish):
         # The complete solvers certify the reduction's optimum.
         assert row["exact"] == row["vc"]
         assert row["exact_ref"] == row["vc"]
-        assert row["milp"] == row["vc"]
-        # Sandwich: LP bound <= optimum <= heuristic <= 2x optimum + slack
-        # (the vertex-construct structure caps the greedy's overshoot).
-        assert row["lp"] <= row["vc"] + 1e-6
+        # Sandwich: optimum <= heuristic <= 2x optimum + slack (the
+        # vertex-construct structure caps the greedy's overshoot).
         assert row["vc"] <= row["heur"] <= 2 * row["vc"] + 1
 
     table = [
@@ -112,9 +104,6 @@ def test_ablation_solvers(benchmark, publish):
             r["exact"],
             f"{r['exact_ms']:.2f}",
             f"{r['exact_ref_ms']:.2f}",
-            r["milp"],
-            f"{r['milp_ms']:.2f}",
-            f"{r['lp']:.2f}",
         ]
         for r in rows
     ]
@@ -146,9 +135,6 @@ def test_ablation_solvers(benchmark, publish):
                 "exact",
                 "ms",
                 "ref ms",
-                "milp",
-                "ms",
-                "LP bound",
             ],
             table,
             title=(

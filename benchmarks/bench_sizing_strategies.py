@@ -1,17 +1,17 @@
-"""Strategy comparison: five ways to defeat backpressure degradation.
+"""Strategy comparison: four ways to defeat backpressure degradation.
 
 On a pool of generated systems, compares the total extra queue slots
 and the recovered throughput of:
 
 * targeted queue sizing -- heuristic (Section VII-B);
 * targeted queue sizing -- exact branch & bound;
-* targeted queue sizing -- LP-based MILP (Lu--Koh baseline style);
 * minimal *uniform* fixed sizing (Section IV's knob);
 * simulation-driven sizing (peak occupancy of the ideal schedule).
 
 Every strategy must restore the ideal MST; the ordering
-``exact == milp <= heuristic <= {uniform, simulation-driven}`` is
-asserted, quantifying the paper's case for cycle-aware sizing.
+``exact == exact-ref <= heuristic <= {uniform, simulation-driven}`` is
+asserted (``exact-ref`` is the exact search's pure-Python reference),
+quantifying the paper's case for cycle-aware sizing.
 """
 
 from repro.core import (
@@ -62,7 +62,7 @@ def test_sizing_strategies(benchmark, publish):
         for seed, lis in zip(SEEDS, systems()):
             heuristic = size_queues(lis, method="heuristic")
             exact = size_queues(lis, method="exact", timeout=60)
-            milp = size_queues(lis, method="milp", timeout=60)
+            exact_ref = size_queues(lis, method="exact-ref", timeout=60)
             uniform_extra, uniform_q = uniform_cost(lis)
             empirical = empirical_cost(lis)
             rows.append(
@@ -71,7 +71,7 @@ def test_sizing_strategies(benchmark, publish):
                     "degraded": float(actual_mst(lis).mst),
                     "heuristic": heuristic,
                     "exact": exact,
-                    "milp": milp,
+                    "exact_ref": exact_ref,
                     "uniform_extra": uniform_extra,
                     "uniform_q": uniform_q,
                     "empirical": empirical,
@@ -84,8 +84,7 @@ def test_sizing_strategies(benchmark, publish):
     for row in rows:
         assert row["heuristic"].restores_target
         assert row["exact"].restores_target
-        assert row["milp"].restores_target
-        assert row["exact"].cost == row["milp"].cost
+        assert row["exact"].cost == row["exact_ref"].cost
         assert row["heuristic"].cost >= row["exact"].cost
         # Targeted sizing never costs more slots than blanket strategies.
         assert row["heuristic"].cost <= row["uniform_extra"]
@@ -96,7 +95,6 @@ def test_sizing_strategies(benchmark, publish):
             r["seed"],
             f"{r['degraded']:.3f}",
             r["exact"].cost,
-            r["milp"].cost,
             r["heuristic"].cost,
             r["empirical"],
             f"{r['uniform_extra']} (q={r['uniform_q']})",
@@ -110,7 +108,6 @@ def test_sizing_strategies(benchmark, publish):
                 "seed",
                 "MST(q=1)",
                 "exact",
-                "milp",
                 "heuristic",
                 "sim-driven",
                 "uniform fixed",
@@ -127,7 +124,6 @@ def test_sizing_strategies(benchmark, publish):
                     "seed": r["seed"],
                     "degraded_mst": r["degraded"],
                     "exact_cost": r["exact"].cost,
-                    "milp_cost": r["milp"].cost,
                     "heuristic_cost": r["heuristic"].cost,
                     "empirical_cost": r["empirical"],
                     "uniform_extra": r["uniform_extra"],

@@ -27,6 +27,10 @@ derived artifact, computed at most once per content fingerprint:
   and a queue-sizing assignment adds ``extra[c]`` tokens to a cycle
   exactly when channel ``c``'s sizable backedge lies on it -- which is
   precisely :attr:`CycleRecord.channels`;
+* artifacts of a queue-sizing assignment (a sized doubled lowering,
+  its MST, its schedule oracle) are built per call and not kept: only
+  the unsized system's are memoized, so a long-lived context does not
+  grow with every distinct assignment it is asked about;
 * per-artifact hit/miss counters (:class:`ContextStats`, a
   :class:`repro.obs.Counters`) make the sharing observable
   (``repro stats``, ``EngineStats.context``).
@@ -155,7 +159,8 @@ class Context:
     the fingerprint from the cached artifacts; a frozen ``lis`` cannot
     change and is shared as is.  The canonical JSON text and the
     fingerprint are computed on first use.  All artifact methods are
-    memoized and thread-safe; marked graphs come back as defensive
+    memoized (those of a queue-sizing assignment for the unsized
+    system only) and thread-safe; marked graphs come back as defensive
     copies (the ``*_master`` methods lend the cached ones to read-only
     code).
 
@@ -244,6 +249,16 @@ class Context:
             self.stats.record(artifact, hit)
             return self._artifacts[slot]
 
+    def _unsized(self, artifact: str, key: tuple, build: Callable[[], T]) -> T:
+        """:meth:`_memo` for the unsized system (an empty extra-token
+        ``key``); for any other key, ``build()`` afresh, counted as a
+        miss and not kept."""
+        if not key:
+            return self._memo(artifact, key, build)
+        value = build()
+        self.stats.record(artifact, False)
+        return value
+
     # ------------------------------------------------------------------
     # Marked-graph lowerings
     # ------------------------------------------------------------------
@@ -256,12 +271,12 @@ class Context:
     def doubled_master(
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
-        """The cached doubled lowering itself (III-B), one per distinct
-        extra-token assignment; shared like :meth:`ideal_master`.  Each
-        is built on a copy of the cached ideal lowering (whose hit or
-        miss ``ideal_mg`` counts)."""
+        """The doubled lowering itself (III-B), built on a copy of the
+        cached ideal lowering (whose hit or miss ``ideal_mg`` counts).
+        The unsized one is cached and shared like :meth:`ideal_master`;
+        one with extra tokens is built per call."""
         key = _extra_key(extra_tokens, self._channel_ids)
-        return self._memo(
+        return self._unsized(
             "doubled_mg",
             key,
             lambda: self.lis.doubled_marked_graph(
@@ -276,8 +291,7 @@ class Context:
     def doubled_marked_graph(
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
-        """A defensive copy of the cached doubled lowering (III-B),
-        one master per distinct extra-token assignment."""
+        """A defensive copy of :meth:`doubled_master`."""
         return self.doubled_master(extra_tokens).copy()
 
     def sizable_backedges(self) -> dict[int, int]:
@@ -305,10 +319,11 @@ class Context:
     def actual_mst(
         self, extra_tokens: dict[int, int] | None = None
     ) -> ThroughputResult:
-        """Cached :func:`repro.core.actual_mst` per extra-token key."""
+        """:func:`repro.core.actual_mst`, cached for the unsized
+        system."""
         key = _extra_key(extra_tokens, self._channel_ids)
         return _own_witness(
-            self._memo(
+            self._unsized(
                 "actual_mst", key, lambda: mst(self.doubled_master(extra_tokens))
             )
         )
@@ -490,7 +505,7 @@ class Context:
         max_steps: int = 50_000,
     ) -> "ScheduleOracle":
         """The analytic :class:`~repro.schedule.ScheduleOracle` of this
-        content, cached per extra-token assignment.
+        content under ``extra_tokens``, cached for the unsized system.
 
         The oracle is immutable (frozen arrays, closed-form queries),
         so one marking walk serves every ``backend="schedule"``
@@ -500,7 +515,7 @@ class Context:
         from ..schedule.oracle import derive_schedule
 
         key = _extra_key(extra_tokens, self._channel_ids)
-        return self._memo(
+        return self._unsized(
             "schedule",
             key,
             lambda: derive_schedule(

@@ -470,8 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
         "vectorized kernel, 'schedule' the analytic oracle -- exact "
         "asymptotic rate, no clocks simulated)",
     )
-    # Removed alias kept only to emit a pointed migration error.
-    sim.add_argument("--simulator", default=None, help=argparse.SUPPRESS)
     sim.add_argument("--shell", default=None, help="probe shell (default: auto)")
     sim.add_argument(
         "--batch",
@@ -1009,13 +1007,6 @@ def _cmd_simulate(args) -> int:
     from .analysis import get_context
     from .lis import measured_throughput, resolve_backend, select_probe_shell
 
-    if args.simulator is not None:
-        print(
-            "error: --simulator was removed; use --backend "
-            f"(e.g. --backend {args.simulator})",
-            file=sys.stderr,
-        )
-        return 2
     backend = args.backend
     lis = get_context(load_lis(args.file))
     if args.batch is not None:

@@ -22,7 +22,6 @@ from .throughput import (
     cycle_time,
     degradation_ratio,
     ideal_mst,
-    ideal_mst_compact,
     mst,
     mst_per_scc,
 )
@@ -69,7 +68,6 @@ from .solvers import (
     ExactOutcome,
     ExactTimeout,
     KernelStats,
-    MilpOutcome,
     QsSolution,
     Solver,
     TdKernel,
@@ -78,7 +76,6 @@ from .solvers import (
     fixed_qs_mst,
     fixed_qs_profile,
     get_solver,
-    lp_lower_bound,
     minimal_fixed_q,
     register_solver,
     size_queues,
@@ -122,7 +119,6 @@ __all__ = [
     "ExactOutcome",
     "ExactTimeout",
     "KernelStats",
-    "MilpOutcome",
     "QsSolution",
     "Solver",
     "TdKernel",
@@ -130,7 +126,6 @@ __all__ = [
     "compile_td",
     "get_solver",
     "register_solver",
-    "lp_lower_bound",
     "lis_from_json",
     "lis_to_json",
     "load_lis",
@@ -165,7 +160,6 @@ __all__ = [
     "cycle_time",
     "degradation_ratio",
     "ideal_mst",
-    "ideal_mst_compact",
     "mst",
     "mst_per_scc",
 ]

@@ -25,7 +25,6 @@ from .heuristic import (
     solve_td_heuristic_reference_instance,
 )
 from .kernel import KernelStats, TdKernel, compile_td
-from .milp import MilpOutcome, lp_lower_bound, solve_td_milp_instance
 from .registry import Solver, available_solvers, get_solver, register_solver
 
 __all__ = [
@@ -43,11 +42,8 @@ __all__ = [
     "solve_td_greedy_instance",
     "solve_td_exact_instance",
     "solve_td_exact_reference_instance",
-    "solve_td_milp_instance",
-    "lp_lower_bound",
     "ExactOutcome",
     "ExactTimeout",
-    "MilpOutcome",
     "InfeasibleError",
     "fixed_qs_mst",
     "fixed_qs_profile",

@@ -84,11 +84,10 @@ def size_queues(
             :class:`LisGraph`, wrapped in a private context.
         method: A registered solver name -- ``"heuristic"`` (Section
             VII-B descent), ``"greedy"`` (set-cover marginal coverage),
-            ``"exact"`` (binary search + branch and bound), ``"milp"``
-            (the Lu--Koh-style LP branch and bound; needs scipy), or
+            ``"exact"`` (binary search + branch and bound), or
             anything added via
-            :func:`~repro.core.solvers.register_solver`.  The exact and
-            MILP solvers may raise :class:`ExactTimeout`.
+            :func:`~repro.core.solvers.register_solver`.  The exact
+            solvers may raise :class:`ExactTimeout`.
         target: Throughput to restore; default = the ideal MST.
         collapse: ``"auto"`` collapses SCCs when the topology allows it
             (relay stations only between SCCs), ``"never"`` works on

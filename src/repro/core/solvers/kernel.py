@@ -29,7 +29,7 @@ node than the dict-based reference solvers:
   reference ``_descend`` weights bit for bit;
 * **batch feasibility** (:meth:`TdKernel.check_batch`) -- one B x |S|
   matrix multiply validating B candidate assignments at once, used by
-  the MILP warm start and the ``simulate_batch`` engine op.
+  the ``simulate_batch`` engine op.
 
 The pure-Python solvers stay registered (``exact-ref`` /
 ``heuristic-ref``) as the differential oracle.
@@ -504,8 +504,8 @@ def compile_td(instance: td.TokenDeficitInstance) -> TdKernel:
     Channels covering no residual cycle are dropped (they can never
     usefully carry weight).
 
-    The result is memoized on the instance, so the heuristic, exact,
-    and MILP solvers running on one instance share a single compile
+    The result is memoized on the instance, so the heuristic and exact
+    solvers running on one instance share a single compile
     (simplifying or :meth:`TokenDeficitInstance.invalidate_cover_index`
     drops the memo).
 

@@ -7,7 +7,7 @@ instance-level signature::
         -> tuple[dict[int, int], dict]
 
 returning the residual weights plus a stats dict (``nodes_explored``,
-``lp_bound``, ... -- solver specific).  :func:`get_solver` is the one
+``backend``, ... -- solver specific).  :func:`get_solver` is the one
 lookup used by :func:`~repro.core.solvers.size_queues`, the analysis
 engine, and the benchmarks; third-party solvers plug in through
 :func:`register_solver` and immediately work everywhere a method name
@@ -28,7 +28,6 @@ from .heuristic import (
     solve_td_heuristic_instance,
     solve_td_heuristic_reference_instance,
 )
-from .milp import solve_td_milp_instance
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..token_deficit import TokenDeficitInstance
@@ -123,9 +122,4 @@ register_solver(
     "exact-ref",
     solve_td_exact_reference_instance,
     description="pure-Python reference exact search (kernel oracle)",
-)
-register_solver(
-    "milp",
-    solve_td_milp_instance,
-    description="LP-based branch and bound (needs scipy)",
 )

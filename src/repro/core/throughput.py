@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..graphs import Edge, strongly_connected_components
-from ..graphs.mcm import critical_edges, minimum_cycle_mean, minimum_cycle_ratio
+from ..graphs.mcm import critical_edges, minimum_cycle_mean
 from .lis_graph import LisGraph
 from .marked_graph import MarkedGraph, place_tokens
 
@@ -31,7 +31,6 @@ __all__ = [
     "cycle_time",
     "mst_per_scc",
     "ideal_mst",
-    "ideal_mst_compact",
     "actual_mst",
     "degradation_ratio",
 ]
@@ -108,27 +107,6 @@ def ideal_mst(lis: LisGraph) -> ThroughputResult:
     return mst(lis.ideal_marked_graph())
 
 
-def ideal_mst_compact(lis: LisGraph) -> Fraction:
-    """Ideal MST computed directly on the system graph via the minimum
-    cycle *ratio*, without expanding relay stations or core pipelines.
-
-    Every channel on a forward cycle carries exactly one token (the
-    consumer shell's initial latched datum) and costs ``relays +
-    latency(consumer)`` clock periods to traverse, so the ideal MST is
-    ``min(1, min over system cycles of hops / total latency)``.  Agrees
-    with :func:`ideal_mst` on the expanded marked graph -- the
-    test-suite asserts it -- while scaling independently of relay
-    counts and pipeline depths.
-    """
-    result = minimum_cycle_ratio(
-        lis.system,
-        weight=lambda edge: 1,
-        time=lambda edge: edge.data["relays"] + lis.latency(edge.dst),
-        below=ONE,
-    )
-    return ONE if result is None else result.mean
-
-
 def actual_mst(
     lis: LisGraph, extra_tokens: dict[int, int] | None = None
 ) -> ThroughputResult:
@@ -137,7 +115,7 @@ def actual_mst(
     ``extra_tokens`` is an optional queue-sizing solution (channel id
     -> extra backedge tokens) applied on top of the configured queues.
     Accepts a plain :class:`LisGraph` or an
-    :class:`repro.analysis.Context` (cached per extra-token key).
+    :class:`repro.analysis.Context` (which caches the unsized MST).
     """
     if hasattr(lis, "td_instance"):  # a repro.analysis.Context
         return lis.actual_mst(extra_tokens)
@@ -154,17 +132,18 @@ def bottleneck_channels(
     everything else has slack.  Empty when the system already runs at
     rate 1.
     """
-    # The MST is the minimum cycle mean whenever it is below 1; a
-    # Context serves it, and its doubled lowering, from its memo
-    # instead of searching a copy again.
-    mean = actual_mst(lis, extra_tokens).mst
-    if mean >= ONE:
-        return set()
+    context = hasattr(lis, "doubled_master")  # a repro.analysis.Context
     mg = (
         lis.doubled_master(extra_tokens)
-        if hasattr(lis, "doubled_master")
+        if context
         else lis.doubled_marked_graph(extra_tokens)
     )
+    # The MST is the minimum cycle mean whenever it is below 1.  A
+    # Context serves the unsized one from its memo; any other is
+    # searched on the lowering just built rather than lowered again.
+    mean = lis.actual_mst().mst if context and not extra_tokens else mst(mg).mst
+    if mean >= ONE:
+        return set()
     keys = critical_edges(mg.graph, place_tokens, mean)
     channels: set[int] = set()
     for key in keys:

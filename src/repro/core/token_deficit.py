@@ -71,7 +71,7 @@ class TokenDeficitInstance:
         default=None, init=False, repr=False, compare=False
     )
     #: Memoized :func:`repro.core.solvers.kernel.compile_td` result so
-    #: that the heuristic, exact, and MILP solvers compile one shared
+    #: that the heuristic and exact solvers compile one shared
     #: kernel per instance.  Cleared together with the cover index.
     _kernel: object = field(
         default=None, init=False, repr=False, compare=False

@@ -91,7 +91,7 @@ SOLVER_COUNTER_KEYS = (
 def _solver_counters(*stats_dicts: dict) -> dict[str, int]:
     """Merge solver stats dicts into the uniform numeric counters the
     engine aggregates (``EngineStats.solver``); solver-specific extras
-    such as ``backend`` labels or ``lp_bound`` are dropped."""
+    such as ``backend`` labels are dropped."""
     out: dict[str, int] = {}
     for stats in stats_dicts:
         for key in SOLVER_COUNTER_KEYS:

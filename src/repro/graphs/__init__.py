@@ -40,7 +40,6 @@ from .mcm import (
     howard_minimum_cycle_mean,
     karp_minimum_cycle_mean,
     minimum_cycle_mean,
-    minimum_cycle_ratio,
 )
 from .io import from_edgelist, to_dot, to_edgelist
 
@@ -74,7 +73,6 @@ __all__ = [
     "howard_minimum_cycle_mean",
     "karp_minimum_cycle_mean",
     "minimum_cycle_mean",
-    "minimum_cycle_ratio",
     "from_edgelist",
     "to_dot",
     "to_edgelist",

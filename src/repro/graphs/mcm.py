@@ -1,5 +1,5 @@
-"""Minimum cycle mean and ratio: a parametric negative-cycle search,
-with Karp's algorithm and Howard's policy iteration as references.
+"""Minimum cycle mean: a parametric negative-cycle search, with
+Karp's algorithm and Howard's policy iteration as references.
 
 The cycle time of a timed marked graph with unit delays is the
 reciprocal of the *minimum cycle mean* -- the smallest ratio of tokens
@@ -10,15 +10,14 @@ counts) with :class:`fractions.Fraction` results, and extracts one
 
 Three algorithms are provided:
 
-* :func:`minimum_cycle_mean` and :func:`minimum_cycle_ratio` -- the
-  search the library runs.  For a candidate ratio ``lam = p/q`` it
-  relaxes the integer reduced weights ``q*w(e) - p*t(e)`` with the one
-  Bellman--Ford loop of this module, which keeps each node's parent
-  arc.  A cycle of parent arcs has negative reduced weight, i.e. a
-  ratio below ``lam``: that ratio becomes the next candidate and the
-  loop starts again.  A pass that changes nothing proves no cycle lies
-  below ``lam``, so ``lam`` is the minimum, and its settled potentials
-  yield the witness cycle.
+* :func:`minimum_cycle_mean` -- the search the library runs.  For a
+  candidate mean ``lam = p/q`` it relaxes the integer reduced weights
+  ``q*w(e) - p`` with the one Bellman--Ford loop of this module, which
+  keeps each node's parent arc.  A cycle of parent arcs has negative
+  reduced weight, i.e. a mean below ``lam``: that mean becomes the
+  next candidate and the loop starts again.  A pass that changes
+  nothing proves no cycle lies below ``lam``, so ``lam`` is the
+  minimum, and its settled potentials yield the witness cycle.
 * :func:`karp_minimum_cycle_mean` -- Karp's O(nm) dynamic program
   [Karp 1978], run per strongly connected component: the algorithm the
   paper suggests, and the reference the tests and the MCM ablation
@@ -29,7 +28,7 @@ Three algorithms are provided:
   exact :class:`Fraction` biases: an independent oracle.
 
 All handle multigraphs (parallel edges) and self-loops.  Edge weights
-must be ``int`` (token counts); times must be positive ``int``.
+must be ``int`` (token counts).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "karp_minimum_cycle_mean",
     "howard_minimum_cycle_mean",
     "minimum_cycle_mean",
-    "minimum_cycle_ratio",
     "critical_cycle",
     "critical_edges",
     "reduced_arcs",
@@ -76,12 +74,7 @@ class CycleMeanResult:
 
     @property
     def tokens(self) -> int:
-        """Total weight (token count) on the returned critical cycle.
-
-        Only meaningful for unit-time means (where the cycle's weight
-        equals mean * length); for :func:`minimum_cycle_ratio` results
-        sum the weights of :attr:`cycle` directly.
-        """
+        """Total weight (token count) on the returned critical cycle."""
         return self.mean.numerator * len(self.cycle) // self.mean.denominator
 
 
@@ -181,18 +174,18 @@ def karp_minimum_cycle_mean(
 
 
 def reduced_arcs(
-    graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn = _unit_time
+    graph: Digraph, weight: WeightFn, mean: Fraction
 ) -> tuple[dict[Hashable, int], list[tuple[int, int, int]]]:
-    """The graph under the reduced weights ``q*w(e) - p*t(e)`` for
+    """The graph under the reduced weights ``q*w(e) - p`` for
     ``mean = p/q``: the node index (``graph.nodes`` order) and one arc
     ``(src index, dst index, reduced weight)`` per edge, in
     ``graph.edges`` order.  A cycle's reduced weight is negative
-    exactly when its ratio is below ``mean``.
+    exactly when its mean is below ``mean``.
     """
     p, q = mean.numerator, mean.denominator
     index = {node: i for i, node in enumerate(graph.nodes)}
     arcs = [
-        (index[edge.src], index[edge.dst], q * weight(edge) - p * time(edge))
+        (index[edge.src], index[edge.dst], q * weight(edge) - p)
         for edge in graph.edges
     ]
     return index, arcs
@@ -275,12 +268,12 @@ def potentials(n: int, arcs: list[tuple[int, int, int]]) -> list[int] | None:
 
 
 def _settle(
-    graph: Digraph, weight: WeightFn, mean: Fraction, time: TimeFn
+    graph: Digraph, weight: WeightFn, mean: Fraction
 ) -> tuple[list[tuple[int, int, int]], list[int]]:
     """The reduced arcs for ``mean`` and their :func:`potentials`;
     ``ValueError`` when relaxation does not settle (``mean`` is not
     minimal)."""
-    index, arcs = reduced_arcs(graph, weight, mean, time)
+    index, arcs = reduced_arcs(graph, weight, mean)
     pot = potentials(len(index), arcs)
     if pot is None:
         raise ValueError("negative cycle: supplied mean is not minimal")
@@ -308,7 +301,7 @@ def _tight_cycle(
 ) -> list[Edge]:
     """The first cycle of tight edges a depth-first search meets, roots
     in ``graph.nodes`` order and edges in key order; any cycle of
-    tight edges attains the minimum ratio."""
+    tight edges attains the minimum mean."""
     adjacency: dict[Hashable, list[Edge]] = {node: [] for node in graph.nodes}
     for edge, _, _ in tight:
         adjacency[edge.src].append(edge)
@@ -350,38 +343,29 @@ def _tight_cycle(
 
 
 def critical_cycle(
-    graph: Digraph,
-    weight: WeightFn,
-    mean: Fraction,
-    time: TimeFn = _unit_time,
+    graph: Digraph, weight: WeightFn, mean: Fraction
 ) -> list[Edge]:
-    """Extract one cycle whose weight/time ratio equals ``mean``.
+    """Extract one cycle whose mean weight equals ``mean``.
 
-    ``mean`` must be the *minimum* cycle ratio.  Uses the standard
-    reduction: with reduced integer weights ``w'(e) = q*w(e) - p*t(e)``
-    for ``mean = p/q``, every cycle has non-negative reduced weight and
+    ``mean`` must be the *minimum* cycle mean.  Uses the standard
+    reduction: with reduced integer weights ``w'(e) = q*w(e) - p`` for
+    ``mean = p/q``, every cycle has non-negative reduced weight and
     critical cycles have exactly zero.  Bellman--Ford potentials then
     make critical-cycle edges *tight* (``pot[u] + w' == pot[v]``), and
-    any cycle of tight edges is critical.  With the default unit
-    ``time`` this is the minimum cycle *mean* witness; it is the same
-    cycle :func:`minimum_cycle_ratio` returns for its minimum.
+    any cycle of tight edges is critical.  It is the same cycle
+    :func:`minimum_cycle_mean` returns for its minimum.
     """
-    return _tight_cycle(
-        graph, _tight_edges(graph, *_settle(graph, weight, mean, time))
-    )
+    return _tight_cycle(graph, _tight_edges(graph, *_settle(graph, weight, mean)))
 
 
 def critical_edges(
-    graph: Digraph,
-    weight: WeightFn,
-    mean: Fraction,
-    time: TimeFn = _unit_time,
+    graph: Digraph, weight: WeightFn, mean: Fraction
 ) -> set[int]:
     """Keys of every edge lying on *some* critical cycle.
 
     With the Bellman--Ford potentials of the standard reduction, an
     edge belongs to a critical cycle iff it is *tight*
-    (``pot[u] + w' == pot[v]`` for reduced weights ``w' = q*w - p*t``)
+    (``pot[u] + w' == pot[v]`` for reduced weights ``w' = q*w - p``)
     and both endpoints sit in the same non-trivial strongly connected
     component of the tight subgraph (inside such a component any tight
     edge closes a zero-reduced-weight -- hence critical -- cycle).
@@ -389,7 +373,7 @@ def critical_edges(
     Unlike enumerating all critical cycles (potentially exponential),
     this runs in O(nm) and is what the bottleneck reports use.
     """
-    tight = _tight_edges(graph, *_settle(graph, weight, mean, time))
+    tight = _tight_edges(graph, *_settle(graph, weight, mean))
     adjacency: list[list[int]] = [[] for _ in range(graph.number_of_nodes())]
     for _, u, v in tight:
         adjacency[u].append(v)
@@ -406,16 +390,16 @@ def critical_edges(
 # The parametric search
 # ----------------------------------------------------------------------
 def _parametric_search(
-    graph: Digraph, weight: WeightFn, time: TimeFn, below: Fraction | None
+    graph: Digraph, weight: WeightFn, below: Fraction | None
 ) -> CycleMeanResult | None:
-    """The minimum cycle ratio with its witness, when some cycle's
-    ratio lies below ``below`` (default: above every ratio); else
+    """The minimum cycle mean with its witness, when some cycle's
+    mean lies below ``below`` (default: above every mean); else
     ``None``.
 
     Each round relaxes the reduced weights of the candidate ``lam``
-    from zero potentials.  A parent cycle is negative, so its ratio is
+    from zero potentials.  A parent cycle is negative, so its mean is
     below ``lam`` and becomes the next candidate: ``lam`` falls
-    strictly through the ratios of simple cycles, and the search stops.
+    strictly through the means of simple cycles, and the search stops.
     Once a round settles, no cycle lies below ``lam``; its potentials
     are the ones :func:`critical_cycle` computes for ``lam``, and give
     the same witness.
@@ -423,18 +407,17 @@ def _parametric_search(
     index = {node: i for i, node in enumerate(graph.nodes)}
     ends = [(index[edge.src], index[edge.dst]) for edge in graph.edges]
     weights = [weight(edge) for edge in graph.edges]
-    times = [time(edge) for edge in graph.edges]
     if below is None:
-        # With times >= 1, no cycle's ratio exceeds max(0, max weight).
+        # No cycle's mean exceeds max(0, max weight).
         below = Fraction(max([0, *weights]) + 1)
     lam = below
     while True:
         p, q = lam.numerator, lam.denominator
-        arcs = [(u, v, q * w - p * t) for (u, v), w, t in zip(ends, weights, times)]
+        arcs = [(u, v, q * w - p) for (u, v), w in zip(ends, weights)]
         pot, cycle = _relax(len(index), arcs)
         if cycle is None:
             break
-        lam = Fraction(sum(weights[i] for i in cycle), sum(times[i] for i in cycle))
+        lam = Fraction(sum(weights[i] for i in cycle), len(cycle))
     if lam == below:
         return None
     return CycleMeanResult(
@@ -451,29 +434,7 @@ def minimum_cycle_mean(
     mean, and returns ``None`` unless some cycle's mean is strictly
     below it: an MST, ``min(1, mean)``, needs only ``below=1``.
     """
-    return _parametric_search(graph, weight, _unit_time, below)
-
-
-def minimum_cycle_ratio(
-    graph: Digraph,
-    weight: WeightFn,
-    time: TimeFn,
-    *,
-    below: Fraction | None = None,
-) -> CycleMeanResult | None:
-    """Minimum cycle ratio (sum of weights / sum of times) with witness.
-
-    The generalization the paper's footnote 3 needs: shells wrapping
-    pipelined cores of latency L contribute L time units per firing, so
-    the cycle time of a loop through them is tokens / (hop count plus
-    extra latency).  Times must be positive integers; returns ``None``
-    for acyclic graphs, and ``below`` works as in
-    :func:`minimum_cycle_mean`.
-    """
-    for edge in graph.edges:
-        if time(edge) <= 0:
-            raise ValueError(f"non-positive time on edge {edge.key}")
-    return _parametric_search(graph, weight, time, below)
+    return _parametric_search(graph, weight, below)
 
 
 # ----------------------------------------------------------------------
@@ -601,8 +562,8 @@ def howard_minimum_cycle_mean(
     graph: Digraph, weight: WeightFn, time: TimeFn = _unit_time
 ) -> Fraction | None:
     """Minimum cycle mean via Howard's policy iteration; ``None`` if
-    acyclic.  With ``time``, the minimum cycle ratio: the oracle the
-    tests check :func:`minimum_cycle_ratio` against."""
+    acyclic.  With ``time``, the minimum cycle ratio (sum of weights
+    over sum of positive integer times)."""
     best: Fraction | None = None
     for component in _cyclic_sccs(graph):
         mean = _howard_on_scc(graph, component, weight, time)

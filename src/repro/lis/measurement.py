@@ -61,7 +61,6 @@ def measured_throughput(
     extra_tokens: dict[int, int] | None = None,
     *,
     faults=None,
-    simulator: str | None = None,
 ) -> Fraction:
     """Long-run firing rate of ``shell`` under the chosen backend
     (any :func:`repro.lis.backends.get_backend` name; default
@@ -76,18 +75,9 @@ def measured_throughput(
 
     ``lis`` may be a :class:`~repro.core.LisGraph` or an
     :class:`repro.analysis.Context`; with a context, every backend
-    reuses its cached lowering / compiled arrays (and the ``schedule``
-    oracle is memoized outright).
-
-    The ``simulator=`` keyword was deprecated in 1.6 and removed in
-    1.7; passing it raises ``TypeError`` pointing at ``backend=``.
+    reuses its cached lowering / compiled arrays (and the unsized
+    system's ``schedule`` oracle).
     """
-    if simulator is not None:
-        raise TypeError(
-            "measured_throughput() no longer accepts simulator= "
-            "(removed in 1.7 after deprecation in 1.6); "
-            "use backend= (same values)"
-        )
     chosen = resolve_backend(backend or "trace", lis, faults=faults)
     return chosen.measure(
         lis,
@@ -156,7 +146,8 @@ def crossvalidate(
     The system is wrapped in one shared
     :class:`repro.analysis.Context`, so the analytic MST, the trace
     backend's doubled lowering, the fast backend's compiled arrays and
-    the schedule oracle all derive from a single lowering pass.
+    the schedule oracle all derive from a single lowering pass (of the
+    unsized system: the context keeps no lowering of ``extra_tokens``).
     """
     from ..analysis import get_context
 

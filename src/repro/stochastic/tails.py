@@ -62,6 +62,7 @@ from ..analysis.context import Context, get_context
 from ..core.cycles import CycleExplosionError
 from ..core.lis_graph import LisGraph
 from ..graphs.mcm import minimum_cycle_mean
+from ..schedule.oracle import ScheduleOracle
 from .montecarlo import MonteCarloResult, quantile_name
 from .spec import StochasticSpec, _targets
 
@@ -283,9 +284,17 @@ def effective_rate(
     Otherwise up to 5,000 cycles are enumerated; beyond that budget
     the global rate is dilated by the combined fraction of all specs.
     """
-    specs = list(specs)
     extra = dict(extra_tokens or {})
-    oracle = ctx.schedule_oracle(extra)
+    return _effective_rate(ctx, ctx.schedule_oracle(extra), list(specs), extra)
+
+
+def _effective_rate(
+    ctx: Context,
+    oracle: ScheduleOracle,
+    specs: list[StochasticSpec],
+    extra: dict[int, int],
+) -> float:
+    """:func:`effective_rate` with the oracle of ``extra`` at hand."""
     r0 = float(oracle.min_rate())
     if not specs:
         return r0
@@ -475,7 +484,7 @@ def estimate_tails(
         # Effective-bandwidth fallback: approximate by the global
         # Bernoulli dilation matching the slowest dilated cycle.
         exact, method = False, "effective-bandwidth"
-        r_hat = effective_rate(ctx, specs, extra)
+        r_hat = _effective_rate(ctx, oracle, specs, extra)
         r0 = float(oracle.min_rate())
         dilation = 0.0 if r0 == 0.0 else min(1.0, max(0.0, 1.0 - r_hat / r0))
         model = (

@@ -6,6 +6,7 @@ import pytest
 
 from repro.analysis import (
     Context,
+    ContextStats,
     clear_registry,
     context_from_json,
     get_context,
@@ -14,7 +15,9 @@ from repro.analysis import (
 from repro.core import LisGraph, actual_mst, ideal_mst, size_queues
 from repro.core.lis_graph import LisError
 from repro.core.serialize import lis_to_json
+from repro.engine.ops import get_op
 from repro.gen import examples
+from repro.stochastic import StochasticSpec
 
 
 def fig1() -> LisGraph:
@@ -324,3 +327,40 @@ def test_compiled_arrays_match_direct_compile():
     assert np.array_equal(cached.src, fresh.src)
     assert np.array_equal(cached.dst, fresh.dst)
     assert global_stats().count("compiled", "miss") == 1
+
+
+# ----------------------------------------------------------------------
+# Per-assignment artifacts are not kept
+# ----------------------------------------------------------------------
+BURST = StochasticSpec(kind="burst", scope="all").as_dict()
+
+
+@pytest.mark.parametrize(
+    "op, options",
+    [
+        (
+            "tail_point",
+            lambda k: {
+                "specs": [BURST],
+                "clocks": 100,
+                "trials": 8,
+                "extra_tokens": {5: 1 + k},
+            },
+        ),
+        ("measure", lambda k: {"backend": "schedule", "extra_tokens": {6: 1 + k}}),
+    ],
+    ids=["tail_point", "measure"],
+)
+def test_distinct_assignments_leave_no_artifact_behind(op, options):
+    """A long-lived context answers ops on six distinct queue sizings
+    without keeping an artifact per sizing, and answers each as a
+    fresh context does."""
+    lis = examples.fig15_lis()
+    run = get_op(op)
+    ctx = Context(lis, stats=ContextStats())
+    answers = [run(ctx, options(0))[0]]
+    artifacts = len(ctx._artifacts)
+    answers += [run(ctx, options(k))[0] for k in range(1, 6)]
+    assert len(ctx._artifacts) == artifacts
+    fresh = [run(Context(lis, stats=ContextStats()), options(k))[0] for k in range(6)]
+    assert answers == fresh

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from repro.analysis import Context, ContextStats
 from repro.core import bottleneck_channels, size_queues
 from repro.core.token_deficit import InfeasibleError
 from repro.gen import fig1_lis, fig15_lis, ring_lis
@@ -110,6 +111,13 @@ def test_bottleneck_channels_fig15():
 def test_bottleneck_empty_at_full_rate():
     assert bottleneck_channels(ring_lis(4)) == set()
     assert bottleneck_channels(fig1_lis(), extra_tokens={1: 1}) == set()
+
+
+def test_sized_bottlenecks_on_a_context_lower_once():
+    ctx = Context(fig15_lis(), stats=ContextStats())
+    assert bottleneck_channels(ctx, extra_tokens={5: 1}) == {0, 3, 4, 6}
+    assert ctx.stats.count("doubled_mg", "miss") == 1
+    assert bottleneck_channels(fig15_lis(), extra_tokens={5: 1}) == {0, 3, 4, 6}
 
 
 # ----------------------------------------------------------------------

@@ -201,13 +201,10 @@ def test_solver_stats_are_uniform_across_registry():
     engine and ``repro stats`` render one table (zeros included)."""
     instance = _hard_instance(4)
     for name in ("heuristic", "heuristic-ref", "greedy", "exact",
-                 "exact-ref", "milp"):
-        try:
-            _, stats = get_solver(name).solve_instance(
-                clone(instance), timeout=60
-            )
-        except ImportError:  # milp without scipy
-            continue
+                 "exact-ref"):
+        _, stats = get_solver(name).solve_instance(
+            clone(instance), timeout=60
+        )
         assert {
             "nodes_explored",
             "table_hits",

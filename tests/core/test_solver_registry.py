@@ -19,7 +19,7 @@ from repro.gen import fig15_lis
 def test_builtin_solvers_registered():
     names = available_solvers()
     assert list(names) == sorted(names)
-    assert {"exact", "greedy", "heuristic", "milp"} <= set(names)
+    assert {"exact", "greedy", "heuristic"} <= set(names)
 
 
 def test_get_solver_unknown_name():

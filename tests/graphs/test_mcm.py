@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.analysis import Context
 from repro.core import analyze
 from repro.core.marked_graph import place_tokens
-from repro.core.throughput import ideal_mst, ideal_mst_compact, mst
+from repro.core.throughput import ideal_mst, mst
 from repro.dsl import CORPUS, corpus_system
 from repro.gen import (
     GeneratorConfig,
@@ -29,20 +29,15 @@ from repro.graphs import (
     karp_minimum_cycle_mean,
     mcm,
     minimum_cycle_mean,
-    minimum_cycle_ratio,
 )
 from tests.strategies import weighted_digraphs
 
 W = lambda e: e.data["w"]  # noqa: E731
-T = lambda e: e.data["t"]  # noqa: E731
 
 
-def searched(g, weight=W, time=None):
-    """The minimum cycle mean (or ratio, with ``time``) of the search."""
-    if time is None:
-        result = minimum_cycle_mean(g, weight)
-    else:
-        result = minimum_cycle_ratio(g, weight, time)
+def searched(g, weight=W):
+    """The minimum cycle mean of the search."""
+    result = minimum_cycle_mean(g, weight)
     return None if result is None else result.mean
 
 
@@ -154,25 +149,6 @@ def test_howard_matches_karp(g):
     assert searched(g) == karp
 
 
-@given(weighted_digraphs(min_weight=-4), st.data())
-@settings(max_examples=80)
-def test_search_matches_howard_on_cycle_ratios(g, data):
-    """Minimum cycle *ratio* with times 1-3: the search against
-    Howard's policy iteration, and its witness attains the ratio."""
-    for edge in g.edges:
-        edge.data["t"] = data.draw(st.integers(1, 3))
-    result = minimum_cycle_ratio(g, W, T)
-    assert searched(g, time=T) == howard_minimum_cycle_mean(g, W, T)
-    if result is not None:
-        cycle = result.cycle
-        assert Fraction(sum(map(W, cycle)), sum(map(T, cycle))) == result.mean
-    if g.number_of_edges():
-        edge = data.draw(st.sampled_from(list(g.edges)))
-        edge.data["t"] = data.draw(st.integers(-2, 0))
-        with pytest.raises(ValueError, match="non-positive time"):
-            minimum_cycle_ratio(g, W, T)
-
-
 @given(weighted_digraphs())
 @settings(max_examples=60)
 def test_witness_cycle_is_valid_and_attains_minimum(g):
@@ -222,13 +198,14 @@ def test_howard_terminates_on_meshes_with_relays(seed, relays):
     assert mean == karp_minimum_cycle_mean(graph, place_tokens) == Fraction(2, 3)
 
 
-def test_minimum_cycle_ratio_terminates_on_mesh_with_relays():
-    """ideal_mst_compact (minimum_cycle_ratio) on a mesh on which
-    Howard's policy iteration, its engine before the search, looped."""
+def test_ideal_mst_terminates_on_mesh_with_relays():
+    """The search on a mesh on which Howard's policy iteration, the
+    engine of an earlier cycle-ratio path, looped."""
     lis = mesh_lis(4, 4, relays=5, seed=420495362)
     with _deadline(1.0):
-        compact = ideal_mst_compact(lis)
-    assert compact == ideal_mst(lis).mst
+        mean = ideal_mst(lis).mst
+    graph = lis.ideal_marked_graph().graph
+    assert mean == min(Fraction(1), karp_minimum_cycle_mean(graph, place_tokens))
 
 
 @given(

@@ -192,14 +192,13 @@ def test_measured_throughput_falls_back_silently():
 
 
 def test_simulator_keyword_removed():
-    """The 1.6 deprecation shim is gone: simulator= is now a TypeError
-    whose message points at backend=."""
-    with pytest.raises(TypeError, match=r"use backend="):
+    """The removed simulator= keyword is refused (use backend=)."""
+    with pytest.raises(TypeError, match="simulator"):
         measured_throughput(fig15_lis(), "A", simulator="schedule")
 
 
 def test_simulator_keyword_rejected_even_with_backend():
-    with pytest.raises(TypeError, match="no longer accepts simulator="):
+    with pytest.raises(TypeError, match="simulator"):
         measured_throughput(
             fig15_lis(), "A", backend="fast", simulator="fast"
         )

@@ -103,7 +103,7 @@ def test_unknown_backend_name_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         measured_throughput(fig1_lis(), "A", backend="verilog")
     # The removed simulator= alias fails before backend validation.
-    with pytest.raises(TypeError, match="use backend="):
+    with pytest.raises(TypeError, match="simulator"):
         measured_throughput(fig1_lis(), "A", simulator="verilog")
 
 

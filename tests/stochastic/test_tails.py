@@ -257,6 +257,15 @@ def test_per_node_scope_falls_back_to_effective_bandwidth():
     assert not mixed.exact
 
 
+def test_sized_fallback_walks_the_schedule_once():
+    ctx = Context(fig15_lis(), stats=ContextStats())
+    est = estimate_tails(
+        ctx, burst_stalls(scope="all"), clocks=200, extra_tokens={5: 1}
+    )
+    assert est.method == "effective-bandwidth"
+    assert ctx.stats.count("schedule", "miss") == 1
+
+
 def test_unreachable_work_hits_the_cap():
     ctx = get_context(fig15_lis())
     est = estimate_tails(

@@ -108,7 +108,7 @@ def test_analysis_public_api():
 def test_solver_registry_roundtrip():
     from repro import available_solvers, get_solver
 
-    assert {"heuristic", "greedy", "exact", "milp"} <= set(available_solvers())
+    assert {"heuristic", "greedy", "exact"} <= set(available_solvers())
     with pytest.raises(ValueError, match="unknown method"):
         get_solver("simulated-annealing")
 

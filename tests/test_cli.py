@@ -331,10 +331,10 @@ def test_simulate_fast_backend(fig1_file, capsys):
 
 def test_simulate_removed_simulator_alias_errors(fig1_file, capsys):
     args = ["simulate", str(fig1_file), "--simulator", "rtl"]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "--simulator was removed" in err
-    assert "--backend" in err
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--simulator" in capsys.readouterr().err
 
 
 def test_simulate_bad_backend_name_rejected(fig1_file, capsys):

@@ -38,12 +38,12 @@ def test_full_pipeline_on_generated_system():
     # 3. All four solvers restore the target; exact is the cheapest.
     solutions = {
         method: size_queues(lis, method=method, timeout=60)
-        for method in ("heuristic", "greedy", "exact", "milp")
+        for method in ("heuristic", "greedy", "exact", "exact-ref")
     }
     for solution in solutions.values():
         assert solution.restores_target
     exact_cost = solutions["exact"].cost
-    assert solutions["milp"].cost == exact_cost
+    assert solutions["exact-ref"].cost == exact_cost
     assert solutions["heuristic"].cost >= exact_cost
     assert solutions["greedy"].cost >= exact_cost
 
