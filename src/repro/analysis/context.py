@@ -291,8 +291,13 @@ class Context:
     def doubled_marked_graph(
         self, extra_tokens: dict[int, int] | None = None
     ) -> MarkedGraph:
-        """A defensive copy of :meth:`doubled_master`."""
-        return self.doubled_master(extra_tokens).copy()
+        """A private doubled lowering: a defensive copy of the cached
+        unsized :meth:`doubled_master`, or the sized one it builds
+        afresh, which no one else holds."""
+        master = self.doubled_master(extra_tokens)
+        if _extra_key(extra_tokens, self._channel_ids):
+            return master
+        return master.copy()
 
     def sizable_backedges(self) -> dict[int, int]:
         """Channel id -> place key of its shell-side backedge.

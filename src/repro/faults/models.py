@@ -321,7 +321,10 @@ class StallSchedule:
     @property
     def stall_fraction(self) -> float:
         """Observed fraction of stalled (node, clock, trial) slots."""
-        return float(self.stalled.mean()) if self.stalled.size else 0.0
+        import numpy as np
+
+        size = self.stalled.size
+        return np.count_nonzero(self.stalled) / size if size else 0.0
 
     def mask(
         self, compiled: "CompiledSystem", assignments: int = 1
@@ -330,20 +333,23 @@ class StallSchedule:
         ``BatchSimulator.run`` with ``B = assignments * trials``
         configurations (trials innermost, the same trial samples
         repeated for every assignment -- common random numbers, so
-        per-assignment curves are directly comparable)."""
+        per-assignment curves are directly comparable).  It is a
+        transposed view of ``(clocks, n_nodes, B)`` storage, the
+        layout the kernel reads."""
         import numpy as np
 
+        trials = self.trials
         out = np.zeros(
-            (self.clocks, self.trials, compiled.n_nodes), dtype=bool
+            (self.clocks, compiled.n_nodes, trials * assignments),
+            dtype=bool,
         )
         index = compiled.node_index
-        for j, node in enumerate(self.nodes):
-            i = index.get(node)
-            if i is not None:
-                out[:, :, i] = self.stalled[:, :, j]
-        if assignments == 1:
-            return out
-        return np.tile(out, (1, assignments, 1))
+        cols = [j for j, node in enumerate(self.nodes) if node in index]
+        rows = [index[self.nodes[j]] for j in cols]
+        out[:, rows, :trials] = self.stalled[:, :, cols].transpose(0, 2, 1)
+        for a in range(1, assignments):
+            out[:, :, a * trials : (a + 1) * trials] = out[:, :, :trials]
+        return out.transpose(0, 2, 1)
 
     def gate(self, trial: int = 0):
         """Trial ``trial``'s fault gate ``(node, clock) -> bool`` for

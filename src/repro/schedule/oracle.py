@@ -33,10 +33,11 @@ balanced schedule of that exact rate always exists and
 
 The fast path walks the flat compiled arrays of :mod:`repro.sim`
 (shared with the ``fast`` backend through an
-:class:`repro.analysis.Context`), re-using exactly the
-``minimum.reduceat`` step of :func:`repro.sim.kernel.step_batch` for
-one configuration; :func:`derive_schedule_reference` is the pure
-marked-graph cross-check used by the oracle's own differential tests.
+:class:`repro.analysis.Context`): the kernel's slot marking for one
+configuration, stepped by the kernel's own
+:class:`repro.sim.kernel.SlotStep`; :func:`derive_schedule_reference`
+is the pure marked-graph cross-check used by the oracle's own
+differential tests.
 """
 
 from __future__ import annotations
@@ -225,32 +226,25 @@ def _walk(
     """The marking walk over any compiled lowering: the doubled graph
     here, the ideal graph for
     :func:`repro.core.scheduling.schedule_lis` ``(practical=False)``."""
-    extra = {int(c): int(x) for c, x in (extra_tokens or {}).items()}
-    tokens = compiled.initial_tokens([extra])
-    starts = compiled.group_starts
-    group_nodes = compiled.group_nodes
-    src = compiled.src
-    dst = compiled.dst
-    occ_cols = compiled.occ_cols
-    grouped = starts.size > 0
+    from ..sim.kernel import SlotStep
 
-    fired = np.ones((1, compiled.n_nodes), dtype=tokens.dtype)
+    extra = {int(c): int(x) for c, x in (extra_tokens or {}).items()}
+    tokens = compiled.slot_marking([extra], horizon=max_steps + 1)
+    step = SlotStep(compiled, tokens)
+    occ_slots = compiled.occ_slots
     seen: dict[bytes, int] = {}
     fired_hist: list[np.ndarray] = []
     occ_hist: list[np.ndarray] = []
-    occ0 = tokens[0, occ_cols]
-    for step in range(max_steps + 1):
+    occ0 = tokens[occ_slots, 0]
+    for walked in range(max_steps + 1):
         key = tokens.tobytes()
         if key in seen:
             break
-        seen[key] = step
-        if grouped:
-            mins = np.minimum.reduceat(tokens, starts, axis=1)
-            fired[:, group_nodes] = mins >= 1
-        tokens += fired[:, src]
-        tokens -= fired[:, dst]
-        fired_hist.append(fired[0] != 0)
-        occ_hist.append(tokens[0, occ_cols])
+        seen[key] = walked
+        live = step.enabled(np.empty((compiled.n_nodes, 1), dtype=bool))
+        step.fire(live)
+        fired_hist.append(live[:, 0])
+        occ_hist.append(tokens[occ_slots, 0])
     else:
         raise ScheduleError(f"no periodic marking within {max_steps} steps")
     return _oracle(
@@ -340,7 +334,7 @@ def _oracle(
     steps = len(fired_hist)
     fired = np.array(fired_hist, dtype=bool).reshape(steps, len(node_names))
     occ = np.array(occ_hist, dtype=np.int64).reshape(steps, len(occ_channels))
-    peak = np.vstack((occ0, occ)).max(axis=0)
+    peak = np.maximum(occ0, occ.max(axis=0))
     return ScheduleOracle(
         node_names=node_names,
         node_index={name: i for i, name in enumerate(node_names)},
@@ -351,7 +345,5 @@ def _oracle(
         period_fired=fired[start:],
         period_occupancy=occ[start:],
         occ_channels=occ_channels,
-        peak_occupancy={
-            channel: int(level) for channel, level in zip(occ_channels, peak)
-        },
+        peak_occupancy=dict(zip(occ_channels, peak.tolist())),
     )

@@ -41,7 +41,12 @@ def check_window(clocks: int, warmup: int) -> None:
 class BatchRunResult:
     """Outcome of one batched run: per-configuration firing counts over
     the measurement window, peak queue occupancies, and (when recorded)
-    the full firing history."""
+    the full firing history.
+
+    ``counts`` (B, N), ``occupancy`` (B, K) and ``history`` (T, B, N)
+    are transposed views of the kernel's arrays, which keep the
+    configurations on their last axis.
+    """
 
     def __init__(
         self,
@@ -159,11 +164,12 @@ class BatchSimulator:
         """
         check_window(clocks, warmup)
         compiled = self.compiled
+        batch = len(self.assignments)
         if stall_mask is not None:
             stall_mask = np.asarray(stall_mask, dtype=bool)
             allowed = (
                 (clocks, compiled.n_nodes),
-                (clocks, len(self.assignments), compiled.n_nodes),
+                (clocks, batch, compiled.n_nodes),
             )
             if stall_mask.shape not in allowed:
                 raise ValueError(
@@ -171,16 +177,17 @@ class BatchSimulator:
                     f"{allowed[0]} or (clocks, B, n_nodes) = "
                     f"{allowed[1]}, got {stall_mask.shape}"
                 )
-        tokens = compiled.initial_tokens(self.assignments)
-        counts = np.zeros(
-            (len(self.assignments), compiled.n_nodes), dtype=tokens.dtype
-        )
-        occupancy = tokens[:, compiled.occ_cols].copy()
+            if stall_mask.ndim == 3:
+                # No copy for StallSchedule.mask(), already a view of
+                # the (clocks, n_nodes, B) layout the kernel reads.
+                stall_mask = np.ascontiguousarray(
+                    stall_mask.transpose(0, 2, 1)
+                )
+        tokens = compiled.slot_marking(self.assignments, horizon=clocks)
+        counts = np.zeros((compiled.n_nodes, batch), dtype=np.int64)
+        occupancy = tokens[compiled.occ_slots]
         history = (
-            np.zeros(
-                (clocks, len(self.assignments), compiled.n_nodes),
-                dtype=bool,
-            )
+            np.empty((clocks, compiled.n_nodes, batch), dtype=bool)
             if record
             else None
         )
@@ -199,9 +206,9 @@ class BatchSimulator:
             self.assignments,
             clocks,
             warmup,
-            counts,
-            occupancy,
-            history,
+            counts.T,
+            occupancy.T,
+            None if history is None else history.transpose(0, 2, 1),
         )
 
 
@@ -224,8 +231,9 @@ class FastSimulator:
         extra = {
             int(c): int(x) for c, x in (extra_tokens or {}).items()
         }
-        self._tokens = self.compiled.initial_tokens([extra])
-        self._occupancy = self._tokens[:, self.compiled.occ_cols].copy()
+        # Incremental runs have no horizon, so no dtype bound from one.
+        self._tokens = self.compiled.slot_marking([extra])
+        self._occupancy = self._tokens[self.compiled.occ_slots]
         self._replayer = TraceReplayer(self.compiled, behaviors)
         #: Optional fault gate ``(node, clock) -> bool`` with the same
         #: semantics as the reference simulators; materialized into a
@@ -254,8 +262,8 @@ class FastSimulator:
     def run(self, clocks: int) -> Trace:
         if clocks <= 0:
             raise ValueError("clocks must be positive")
-        history = np.zeros(
-            (clocks, 1, self.compiled.n_nodes), dtype=bool
+        history = np.empty(
+            (clocks, self.compiled.n_nodes, 1), dtype=bool
         )
         step_batch(
             self.compiled,
@@ -265,7 +273,7 @@ class FastSimulator:
             history=history,
             stall_mask=self._stall_chunk(clocks),
         )
-        self._replayer.extend(history[:, 0, :])
+        self._replayer.extend(history[:, :, 0])
         self.clocks += clocks
         return self.trace
 
@@ -276,7 +284,7 @@ class FastSimulator:
         """Peak occupancy per channel's shell input queue (see
         ``TraceSimulator.max_queue_occupancy``)."""
         return {
-            channel: int(self._occupancy[0, k])
+            channel: int(self._occupancy[k, 0])
             for k, channel in enumerate(self.compiled.occ_channels)
         }
 

@@ -62,6 +62,24 @@ METRICS = ("throughput", "completion", "occupancy")
 # ----------------------------------------------------------------------
 
 
+#: ``log(k!)`` for ``k = 0, 1, ...``, grown on demand by
+#: :func:`log_binomial`.  Each entry is ``math.lgamma(k + 1)``, so sums
+#: over the table equal sums over those calls bit for bit.
+_log_factorial = np.zeros(1)
+
+
+def log_binomial(n: int, k: np.ndarray) -> np.ndarray:
+    """``log C(n, k)`` for each entry of ``k`` (integers in ``0..n``),
+    from the shared log-factorial table."""
+    global _log_factorial
+    table = _log_factorial
+    if table.size <= n:
+        size = max(n + 1, 2 * table.size)
+        table = np.array([math.lgamma(i + 1) for i in range(size)])
+        _log_factorial = table
+    return table[n] - table[k] - table[n - k]
+
+
 def _binom_cdf_vector(n: int, p: float) -> np.ndarray:
     """``cdf[k] = P(Binomial(n, p) <= k)`` for ``k = 0..n`` via
     log-gamma (stable for the few-hundred-trial sizes used here)."""
@@ -73,12 +91,7 @@ def _binom_cdf_vector(n: int, p: float) -> np.ndarray:
         out[n] = 1.0
         return out
     k = np.arange(n + 1)
-    log_comb = (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(i + 1) for i in k])
-        - np.array([math.lgamma(n - i + 1) for i in k])
-    )
-    log_pmf = log_comb + k * math.log(p) + (n - k) * math.log1p(-p)
+    log_pmf = log_binomial(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
     pmf = np.exp(log_pmf)
     cdf = np.cumsum(pmf)
     return np.minimum(cdf, 1.0)

@@ -325,14 +325,13 @@ def compile_stochastic(
         targets = _targets(lis, spec)
         if not targets:
             continue
-        if spec.scope == "global":
-            shared = _sample_processes(spec, clocks, trials, 1)
-            cols = [ordinal[n] for n in targets]
-            stalled[:, :, cols] |= shared  # broadcast the one process
+        # A global spec draws one process and broadcasts it.
+        width = 1 if spec.scope == "global" else len(targets)
+        drawn = _sample_processes(spec, clocks, trials, width)
+        if tuple(targets) == nodes:
+            stalled |= drawn
         else:
-            drawn = _sample_processes(spec, clocks, trials, len(targets))
-            for j, node in enumerate(targets):
-                stalled[:, :, ordinal[node]] |= drawn[:, :, j]
+            stalled[:, :, [ordinal[n] for n in targets]] |= drawn
     return StallSchedule(
         specs=specs,
         nodes=nodes,

@@ -63,7 +63,7 @@ from ..core.cycles import CycleExplosionError
 from ..core.lis_graph import LisGraph
 from ..graphs.mcm import minimum_cycle_mean
 from ..schedule.oracle import ScheduleOracle
-from .montecarlo import MonteCarloResult, quantile_name
+from .montecarlo import MonteCarloResult, log_binomial, quantile_name
 from .spec import StochasticSpec, _targets
 
 __all__ = [
@@ -99,12 +99,7 @@ class _BernoulliActive:
 
     def _log_pmf(self, t: int, a: np.ndarray) -> np.ndarray:
         r = self.r
-        log_comb = (
-            math.lgamma(t + 1)
-            - np.array([math.lgamma(i + 1) for i in a])
-            - np.array([math.lgamma(t - i + 1) for i in a])
-        )
-        return log_comb + a * math.log(r) + (t - a) * math.log1p(-r)
+        return log_binomial(t, a) + a * math.log(r) + (t - a) * math.log1p(-r)
 
     def count_quantile(self, t: int, q: float) -> int:
         """``min{a : P(A(t) <= a) >= q}``."""

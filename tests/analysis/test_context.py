@@ -97,6 +97,33 @@ def test_mutating_returned_marked_graph_does_not_poison_cache():
     )
 
 
+def test_sized_doubled_marked_graph_copies_only_the_ideal_master(
+    monkeypatch,
+):
+    from repro.core.marked_graph import MarkedGraph
+
+    ctx = Context(fig1())
+    ideal = ctx.ideal_master()
+    copied = []
+    copy = MarkedGraph.copy
+
+    def counting_copy(mg):
+        copied.append(mg)
+        return copy(mg)
+
+    monkeypatch.setattr(MarkedGraph, "copy", counting_copy)
+    mg = ctx.doubled_marked_graph({1: 2})
+    # The sized lowering is built on a copy of the ideal master and
+    # handed out as it is: nobody else holds it.
+    assert len(copied) == 1 and copied[0] is ideal
+    for place in list(mg.graph.edges):
+        place.data["tokens"] = 99
+    again = ctx.doubled_marked_graph({1: 2})
+    assert again is not mg
+    assert all(p.data["tokens"] != 99 for p in again.graph.edges)
+    assert all(p.data["tokens"] != 99 for p in ideal.graph.edges)
+
+
 def test_mutating_returned_throughput_result_is_harmless():
     ctx = Context(fig1())
     first = ctx.actual_mst()

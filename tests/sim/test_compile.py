@@ -6,7 +6,7 @@ import pytest
 from repro.core import LisGraph
 from repro.core.lis_graph import LisError
 from repro.gen import fig1_lis, fig15_lis
-from repro.sim import compile_lis
+from repro.sim import BatchSimulator, compile_lis
 
 
 def test_columns_cover_every_place():
@@ -21,14 +21,23 @@ def test_columns_cover_every_place():
 
 def test_columns_grouped_by_consumer():
     compiled = compile_lis(fig15_lis())
-    starts = compiled.group_starts
-    assert starts[0] == 0
-    assert np.all(np.diff(starts) >= 1)
-    # Every column's consumer matches its reduceat group.
-    bounds = list(starts) + [compiled.n_places]
-    for g, node in enumerate(compiled.group_nodes):
-        for col in range(bounds[g], bounds[g + 1]):
-            assert compiled.dst[col] == node
+    assert np.all(np.diff(compiled.dst) >= 0)
+    width = compiled.slot_width
+    assert width == np.bincount(compiled.dst).max()
+    assert compiled.n_slots == compiled.n_nodes * width
+    # Each column has its own slot in its consumer's block, and every
+    # slot's consumer is the node that owns the block.
+    assert len(set(compiled.place_slot.tolist())) == compiled.n_places
+    owner = np.arange(compiled.n_slots) // width
+    assert np.array_equal(compiled.slot_dst, owner)
+    assert np.array_equal(compiled.slot_src[compiled.place_slot], compiled.src)
+    # Padding slots are self-loops of their node holding one token.
+    padding = np.setdiff1d(np.arange(compiled.n_slots), compiled.place_slot)
+    assert padding.size == compiled.n_slots - compiled.n_places > 0
+    assert np.array_equal(compiled.slot_src[padding], owner[padding])
+    marking = compiled.slot_marking([{}], horizon=1)
+    assert np.all(marking[padding] == 1)
+    assert np.array_equal(marking[compiled.place_slot, 0], compiled.tokens0)
 
 
 def test_sizable_columns_match_lis_backedges():
@@ -68,7 +77,10 @@ def test_single_shell_no_channels_compiles():
     lis.add_shell("only")
     compiled = compile_lis(lis)
     assert compiled.n_places == 0
-    assert compiled.group_starts.size == 0
+    # Its one slot is padding, so the shell is always enabled.
+    assert compiled.slot_width == 1
+    assert compiled.slot_src.tolist() == compiled.slot_dst.tolist() == [0]
+    assert BatchSimulator(lis).run(3).counts.tolist() == [[3]]
 
 
 def test_pipelined_core_expands_stages():
