@@ -55,7 +55,7 @@ from ..core.cycles import (
     cycle_records,
     is_collapsible,
 )
-from ..core.lis_graph import LisError, LisGraph
+from ..core.lis_graph import LisGraph, check_extra_tokens
 from ..core.marked_graph import MarkedGraph
 from ..core.serialize import lis_fingerprint, lis_from_json, lis_to_json
 from ..core.throughput import ThroughputResult, mst
@@ -123,12 +123,7 @@ def _extra_key(
     """
     if not extra_tokens:
         return ()
-    unknown = set(extra_tokens) - channel_ids
-    if unknown:
-        raise LisError(f"extra tokens on unknown channels: {sorted(unknown)}")
-    for cid, tokens in extra_tokens.items():
-        if tokens < 0:
-            raise LisError(f"negative extra tokens on channel {cid}")
+    check_extra_tokens(extra_tokens, channel_ids)
     return tuple(
         (cid, tokens)
         for cid, tokens in sorted(extra_tokens.items())

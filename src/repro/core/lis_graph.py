@@ -28,7 +28,7 @@ stations start with void data).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Mapping, TypeVar
 
 from ..graphs import Digraph, Edge, scc_of
 from .marked_graph import MarkedGraph
@@ -38,6 +38,7 @@ __all__ = [
     "LisGraph",
     "LisError",
     "RELAY_CAPACITY",
+    "check_extra_tokens",
     "relay_name",
     "stage_name",
 ]
@@ -50,6 +51,19 @@ T = TypeVar("T")
 
 class LisError(Exception):
     """Raised on invalid LIS construction or lowering."""
+
+
+def check_extra_tokens(
+    extra: Mapping[int, int], channel_ids: Iterable[int]
+) -> None:
+    """Refuse a queue-sizing assignment (``LisError``) that names a
+    channel outside ``channel_ids`` or adds a negative token count."""
+    unknown = set(extra).difference(channel_ids)
+    if unknown:
+        raise LisError(f"extra tokens on unknown channels: {sorted(unknown)}")
+    for cid, tokens in extra.items():
+        if tokens < 0:
+            raise LisError(f"negative extra tokens on channel {cid}")
 
 
 class LisGraph:
@@ -313,12 +327,7 @@ class LisGraph:
         segment (consumer = shell) holds the channel's queue capacity.
         """
         extra = dict(extra_tokens or {})
-        unknown = set(extra) - set(self.channel_ids())
-        if unknown:
-            raise LisError(f"extra tokens on unknown channels: {sorted(unknown)}")
-        for cid, tokens in extra.items():
-            if tokens < 0:
-                raise LisError(f"negative extra tokens on channel {cid}")
+        check_extra_tokens(extra, self.channel_ids())
 
         mg = self.ideal_marked_graph() if ideal is None else ideal.copy()
         for shell in self.system.nodes:

@@ -33,11 +33,9 @@ from typing import Callable, Hashable, Mapping
 
 from ..core.lis_graph import LisGraph
 from ..core.throughput import actual_mst, ideal_mst
-from ..lis.backends import BACKENDS as _SIM_BACKENDS
+from ..lis.backends import BACKENDS as _SIM_BACKENDS, simulator_class
 from ..lis.equivalence import valid_stream
 from ..lis.protocol import ShellBehavior, Trace
-from ..lis.rtl_sim import RtlSimulator
-from ..lis.trace_sim import TraceSimulator
 from .models import (
     FaultSpec,
     StallSchedule,
@@ -131,19 +129,7 @@ def _simulate(
     gate,
     clocks: int,
 ) -> tuple[Trace, dict[int, int]]:
-    if backend == "trace":
-        sim = TraceSimulator(lis, behaviors, extra_tokens, faults=gate)
-    elif backend == "rtl":
-        sim = RtlSimulator(lis, behaviors, extra_tokens, faults=gate)
-    elif backend == "fast":
-        from ..sim import FastSimulator
-
-        sim = FastSimulator(lis, behaviors, extra_tokens, faults=gate)
-    else:
-        known = ", ".join(BACKENDS)
-        raise ValueError(
-            f"unknown backend {backend!r} (available: {known})"
-        )
+    sim = simulator_class(backend)(lis, behaviors, extra_tokens, faults=gate)
     trace = sim.run(clocks)
     return trace, sim.max_queue_occupancy()
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -44,6 +45,7 @@ __all__ = [
     "get_backend",
     "register_backend",
     "resolve_backend",
+    "simulator_class",
 ]
 
 MeasureFn = Callable[..., Fraction]
@@ -188,42 +190,45 @@ def resolve_backend(
 # ----------------------------------------------------------------------
 
 
-def _measure_trace(
-    lis, shell, *, clocks, warmup, extra_tokens, faults
+def simulator_class(name: str) -> type:
+    """The simulator class behind the ``trace``, ``rtl`` or ``fast``
+    backend -- the one place a simulator is chosen by name.  Each takes
+    ``(lis, behaviors, extra_tokens, faults=...)``.  ``fast`` is
+    imported on demand, so ``import repro`` needs no numpy."""
+    if name == "trace":
+        from .trace_sim import TraceSimulator
+
+        return TraceSimulator
+    if name == "rtl":
+        from .rtl_sim import RtlSimulator
+
+        return RtlSimulator
+    if name == "fast":
+        from ..sim import FastSimulator
+
+        return FastSimulator
+    raise ValueError(
+        f"unknown backend {name!r} (available: trace, rtl, fast)"
+    )
+
+
+def _measure_stepped(
+    name, lis, shell, *, clocks, warmup, extra_tokens, faults
 ) -> Fraction:
-    from .trace_sim import TraceSimulator
-
-    sim = TraceSimulator(lis, extra_tokens=extra_tokens, faults=faults)
-    sim.run(warmup + clocks)
-    return sim.trace.throughput(shell, skip=warmup)
-
-
-def _measure_rtl(
-    lis, shell, *, clocks, warmup, extra_tokens, faults
-) -> Fraction:
-    from .rtl_sim import RtlSimulator
-
-    sim = RtlSimulator(lis, extra_tokens=extra_tokens, faults=faults)
-    sim.run(warmup + clocks)
-    return sim.trace.throughput(shell, skip=warmup)
+    sim = simulator_class(name)(lis, extra_tokens=extra_tokens, faults=faults)
+    return sim.run(warmup + clocks).throughput(shell, skip=warmup)
 
 
 def _measure_fast(
     lis, shell, *, clocks, warmup, extra_tokens, faults
 ) -> Fraction:
-    if faults is None:
-        # Token counting only -- no per-clock value replay needed.
-        from ..sim import BatchSimulator
+    # Token counting only: a rate never replays values.
+    from ..sim.batch import BatchSimulator, gate_mask
 
-        result = BatchSimulator(lis, [dict(extra_tokens or {})]).run(
-            warmup + clocks, warmup=warmup
-        )
-        return result.throughput(0, shell)
-    from ..sim import FastSimulator
-
-    sim = FastSimulator(lis, extra_tokens=extra_tokens, faults=faults)
-    sim.run(warmup + clocks)
-    return sim.throughput(shell, skip=warmup)
+    sim = BatchSimulator(lis, [dict(extra_tokens or {})])
+    mask = gate_mask(sim.compiled, faults, 0, warmup + clocks)
+    result = sim.run(warmup + clocks, warmup=warmup, stall_mask=mask)
+    return result.throughput(0, shell)
 
 
 def _measure_schedule(
@@ -236,13 +241,13 @@ def _measure_schedule(
 
 register_backend(
     "trace",
-    _measure_trace,
+    partial(_measure_stepped, "trace"),
     description="data-carrying marked-graph stepper (reference)",
     supports_faults=True,
 )
 register_backend(
     "rtl",
-    _measure_rtl,
+    partial(_measure_stepped, "rtl"),
     description="structural RTL-style model (independent reference)",
     supports_faults=True,
 )

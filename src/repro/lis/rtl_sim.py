@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Mapping
 
-from ..core.lis_graph import LisGraph
+from ..core.lis_graph import LisGraph, check_extra_tokens
 from ..core.naming import relay_name, stage_name
 from .protocol import TAU, ShellBehavior, Trace
 
@@ -138,9 +138,11 @@ def build_netlist(
     Nodes come in a fixed order -- each shell followed by its internal
     stages, in declaration order, then the relay stations channel by
     channel in channel-id order -- which is also the row order of
-    :class:`RtlSimulator` traces.
+    :class:`RtlSimulator` traces.  ``extra_tokens`` is validated like
+    :meth:`LisGraph.doubled_marked_graph` (``LisError``).
     """
     extra = dict(extra_tokens or {})
+    check_extra_tokens(extra, lis.channel_ids())
     nodes: list[tuple[Hashable, str, int]] = []  # (name, kind, latency)
     inputs: dict[Hashable, list[int]] = {}
     outputs: dict[Hashable, list[int]] = {}

@@ -26,7 +26,8 @@ throughput converges to the computed MST.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Hashable, Mapping
+from collections.abc import Mapping
+from typing import Any, Callable, Hashable, Iterable
 
 from ..core.lis_graph import LisGraph
 from .protocol import TAU, ShellBehavior, Trace
@@ -100,6 +101,21 @@ class TraceSimulator:
             self._fifo[place.key] = deque(
                 [_INIT] * place.data["tokens"]
             )
+        # Each node's input and output places as (data, FIFO or None on
+        # a backedge, channel, key), worked out once: the lowering is
+        # private and never changes shape.
+        def wiring(places) -> tuple:
+            return tuple(
+                (p.data, self._fifo.get(p.key), p.data["channel"], p.key)
+                for p in places
+            )
+
+        self._inputs = {
+            node: wiring(graph.in_edges(node)) for node in graph.nodes
+        }
+        self._outputs = {
+            node: wiring(graph.out_edges(node)) for node in graph.nodes
+        }
         self._firing_index: dict[Hashable, int] = {
             node: 0 for node in graph.nodes
         }
@@ -145,64 +161,66 @@ class TraceSimulator:
 
     def step(self) -> set[Hashable]:
         """One clock period; returns the set of nodes that fired."""
-        graph = self.mg.graph
-        fired = set(self.mg.enabled_transitions())
+        fired = self.mg.enabled_transitions()
         if self._faults is not None:
             gate = self._faults
             clock = self.clock
-            fired = {node for node in fired if not gate(node, clock)}
+            fired = [node for node in fired if not gate(node, clock)]
+        self.fire(fired)
+        return set(fired)
 
+    def fire(self, fired: Iterable[Hashable]) -> None:
+        """Fire the nodes ``fired`` together for one clock period:
+        move their tokens and data values, then record the trace row.
+
+        Each node must be enabled at the start of the period.
+        :meth:`step` passes its own decision; the vectorized kernel's
+        firing history replays through here (:mod:`repro.sim`).
+        """
         # Consume: pop data values and backedge tokens.
-        consumed: dict[Hashable, dict[int, Any]] = {}
+        consumed: list[tuple[Hashable, dict[int, Any]]] = []
         for node in fired:
             taken: dict[int, Any] = {}
-            for place in graph.in_edges(node):
-                place.data["tokens"] -= 1
-                if place.data["kind"] == "fwd":
-                    taken[place.data["channel"]] = self._fifo[
-                        place.key
-                    ].popleft()
-            consumed[node] = taken
+            for data, fifo, channel, _ in self._inputs[node]:
+                data["tokens"] -= 1
+                if fifo is not None:
+                    taken[channel] = fifo.popleft()
+            consumed.append((node, taken))
 
         # Produce: push output values and return backedge tokens.
-        emitted: dict[Hashable, Any] = {}
-        for node in fired:
-            value = self._fire_value(node, consumed[node])
-            emitted[node] = value
-            for place in graph.out_edges(node):
-                place.data["tokens"] += 1
-                if place.data["kind"] != "fwd":
+        shown: dict[Hashable, Any] = {}
+        peaks = self._max_occupancy
+        for node, taken in consumed:
+            value = self._fire_value(node, taken)
+            # Per-channel unwrap: a Mapping keyed by the place's
+            # channel resolves to that channel's value; internal
+            # pipeline places (whose channel key is the synthetic
+            # ("latency", shell) marker) carry the whole mapping down
+            # the pipe until the tail stage fans it out.
+            split = isinstance(value, Mapping)
+            for data, fifo, channel, key in self._outputs[node]:
+                data["tokens"] += 1
+                if fifo is None:
                     continue
-                # Per-channel unwrap: a Mapping keyed by the place's
-                # channel resolves to that channel's value; internal
-                # pipeline places (whose channel key is the synthetic
-                # ("latency", shell) marker) carry the whole mapping
-                # down the pipe until the tail stage fans it out.
-                channel = place.data["channel"]
-                if isinstance(value, Mapping) and channel in value:
-                    out_value = value[channel]
-                else:
-                    out_value = value
-                fifo = self._fifo[place.key]
-                fifo.append(out_value)
-                if len(fifo) > self._max_occupancy[place.key]:
-                    self._max_occupancy[place.key] = len(fifo)
+                fifo.append(
+                    value[channel] if split and channel in value else value
+                )
+                if len(fifo) > peaks[key]:
+                    peaks[key] = len(fifo)
             self._firing_index[node] += 1
+            if split:
+                value = value[min(value)] if value else TAU
+            shown[node] = value
 
         # Record the trace row for this clock.
-        for node in graph.nodes:
-            if node in fired:
-                value = emitted[node]
-                if isinstance(value, Mapping):
-                    display = value[min(value)] if value else TAU
-                else:
-                    display = value
-                self.trace.record(node, display, True)
+        record = self.trace.record
+        for node in self.mg.graph.nodes:
+            if node in shown:
+                record(node, shown[node], True)
             else:
-                self.trace.record(node, TAU, False)
+                record(node, TAU, False)
         self.trace.clocks += 1
         self.clock += 1
-        return fired
 
     def run(self, clocks: int) -> Trace:
         for _ in range(clocks):

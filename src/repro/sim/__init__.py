@@ -17,9 +17,10 @@ test-suite and for ad-hoc validation.
 Entry points:
 
 * :class:`FastSimulator` -- drop-in single-configuration simulator with
-  the same ``run(clocks) -> Trace`` surface as the reference pair
-  (data values are reconstructed from the firing schedule by
-  :mod:`repro.sim.replay`).
+  the same ``run(clocks) -> Trace`` surface as the reference pair (the
+  kernel decides the firings; data values follow them through
+  :meth:`~repro.lis.trace_sim.TraceSimulator.fire`, the reference's
+  own value semantics, as do ``BatchRunResult.to_trace`` replays).
 * :class:`BatchSimulator` -- evaluate many queue-sizing assignments of
   one topology in a single batch.
 * ``simulate_batch`` engine op (registered in :mod:`repro.engine.ops`)
@@ -37,7 +38,6 @@ except ImportError as exc:  # pragma: no cover
 from .batch import BatchRunResult, BatchSimulator, FastSimulator, simulate_fast
 from .compile import CompiledSystem, compile_lis
 from .differential import DifferentialReport, differential_check
-from .replay import TraceReplayer
 
 __all__ = [
     "BatchRunResult",
@@ -45,7 +45,6 @@ __all__ = [
     "CompiledSystem",
     "DifferentialReport",
     "FastSimulator",
-    "TraceReplayer",
     "compile_lis",
     "differential_check",
     "simulate_fast",

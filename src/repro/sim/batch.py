@@ -4,8 +4,10 @@
 topology in a single run -- the compile cost is paid once and every
 kernel step advances all configurations together.  :class:`FastSimulator`
 is the B = 1 convenience with the same ``run(clocks) -> Trace`` surface
-as the reference simulators (values reconstructed on demand by
-:class:`~repro.sim.replay.TraceReplayer`).
+as the reference simulators.  The kernel moves tokens only; data values
+replay the recorded firings through
+:meth:`~repro.lis.trace_sim.TraceSimulator.fire`, the reference's own
+value semantics.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import numpy as np
 
 from ..core.lis_graph import LisGraph
 from ..lis.protocol import ShellBehavior, Trace
+from ..lis.trace_sim import FaultGate, TraceSimulator
 from .compile import CompiledSystem, compile_lis
 from .kernel import step_batch
-from .replay import TraceReplayer
 
 __all__ = [
     "BatchRunResult",
     "BatchSimulator",
     "FastSimulator",
+    "gate_mask",
     "simulate_fast",
 ]
 
@@ -36,6 +39,35 @@ def check_window(clocks: int, warmup: int) -> None:
         raise ValueError("clocks must be positive")
     if not 0 <= warmup < clocks:
         raise ValueError("warmup must satisfy 0 <= warmup < clocks")
+
+
+def gate_mask(
+    compiled: CompiledSystem, gate: FaultGate | None, start: int, clocks: int
+) -> np.ndarray | None:
+    """The (clocks, n_nodes) stall mask of the fault gate ``gate``
+    ``(node, clock) -> bool`` over clocks ``start ... start + clocks
+    - 1`` (None without a gate): the kernel form of the reference
+    simulators' ``faults=``."""
+    if gate is None:
+        return None
+    names = compiled.node_names
+    return np.array(
+        [
+            [gate(name, clock) for name in names]
+            for clock in range(start, start + clocks)
+        ],
+        dtype=bool,
+    )
+
+
+def _replay(
+    sim: TraceSimulator, names: Sequence[Hashable], rows: np.ndarray
+) -> Trace:
+    """Replay a (T, n_nodes) firing history, columns in ``names``
+    order, through ``sim.fire``; returns ``sim.trace``."""
+    for row in rows.tolist():
+        sim.fire([name for name, fired in zip(names, row) if fired])
+    return sim.trace
 
 
 class BatchRunResult:
@@ -50,6 +82,7 @@ class BatchRunResult:
 
     def __init__(
         self,
+        lis: LisGraph,
         compiled: CompiledSystem,
         assignments: list[dict[int, int]],
         clocks: int,
@@ -58,6 +91,7 @@ class BatchRunResult:
         occupancy: np.ndarray,
         history: np.ndarray | None,
     ) -> None:
+        self.lis = lis
         self.compiled = compiled
         self.assignments = assignments
         self.clocks = clocks
@@ -107,13 +141,13 @@ class BatchRunResult:
         b: int = 0,
         behaviors: Mapping[Hashable, ShellBehavior] | None = None,
     ) -> Trace:
-        """Replay configuration ``b``'s data values into a full
-        :class:`Trace` (requires ``record=True``)."""
+        """Replay configuration ``b``'s firings through a
+        :class:`TraceSimulator` with its extra tokens: the full
+        data-carrying :class:`Trace` (requires ``record=True``)."""
         if self.history is None:
             raise ValueError("run with record=True to keep firing history")
-        return TraceReplayer(self.compiled, behaviors).extend(
-            self.history[:, b, :]
-        )
+        sim = TraceSimulator(self.lis, behaviors, self.assignments[b])
+        return _replay(sim, self.compiled.node_names, self.history[:, b, :])
 
 
 class BatchSimulator:
@@ -202,6 +236,7 @@ class BatchSimulator:
             stall_mask=stall_mask,
         )
         return BatchRunResult(
+            self.lis,
             compiled,
             self.assignments,
             clocks,
@@ -234,7 +269,8 @@ class FastSimulator:
         # Incremental runs have no horizon, so no dtype bound from one.
         self._tokens = self.compiled.slot_marking([extra])
         self._occupancy = self._tokens[self.compiled.occ_slots]
-        self._replayer = TraceReplayer(self.compiled, behaviors)
+        #: Carries the data values of the kernel's firings.
+        self._values = TraceSimulator(lis, behaviors, extra)
         #: Optional fault gate ``(node, clock) -> bool`` with the same
         #: semantics as the reference simulators; materialized into a
         #: per-chunk stall mask at absolute clock offsets.
@@ -243,21 +279,7 @@ class FastSimulator:
 
     @property
     def trace(self) -> Trace:
-        return self._replayer.trace
-
-    def _stall_chunk(self, clocks: int) -> np.ndarray | None:
-        if self._faults is None:
-            return None
-        gate = self._faults
-        names = self.compiled.node_names
-        start = self.clocks
-        mask = np.zeros((clocks, self.compiled.n_nodes), dtype=bool)
-        for t in range(clocks):
-            clock = start + t
-            for i, name in enumerate(names):
-                if gate(name, clock):
-                    mask[t, i] = True
-        return mask
+        return self._values.trace
 
     def run(self, clocks: int) -> Trace:
         if clocks <= 0:
@@ -271,9 +293,9 @@ class FastSimulator:
             clocks,
             occupancy=self._occupancy,
             history=history,
-            stall_mask=self._stall_chunk(clocks),
+            stall_mask=gate_mask(self.compiled, self._faults, self.clocks, clocks),
         )
-        self._replayer.extend(history[:, :, 0])
+        _replay(self._values, self.compiled.node_names, history[:, :, 0])
         self.clocks += clocks
         return self.trace
 

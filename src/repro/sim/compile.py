@@ -9,10 +9,10 @@ holding one token.  The kernel keeps the marking as an (N*D, B) matrix
 whose (N, D, B) view makes AND-firing one plain ``minimum.reduce``
 over the middle axis (:mod:`repro.sim.kernel`), and the schedule
 oracle's walk steps the same layout.  The compiled object also keeps
-the per-node forward-place wiring needed to replay data values
-(:mod:`repro.sim.replay`) and the column of each channel's shell-side
-("sizable") backedge, which is where queue-sizing assignments inject
-their extra tokens -- the batch dimension of the kernel.
+the column of each channel's shell-side ("sizable") backedge, which is
+where queue-sizing assignments inject their extra tokens -- the batch
+dimension of the kernel.  It carries tokens only: data values replay
+through :meth:`repro.lis.trace_sim.TraceSimulator.fire`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.lis_graph import LisError, LisGraph
+from ..core.lis_graph import LisGraph, check_extra_tokens
 from ..core.marked_graph import MarkedGraph
 
 __all__ = ["CompiledSystem", "compile_lis"]
@@ -62,12 +62,6 @@ class CompiledSystem:
     occ_channels: tuple[int, ...]
     #: Channel id -> column of its sizable backedge.
     sizable_col: Mapping[int, int]
-    #: Per node: ((channel key, fwd place column), ...) of its input /
-    #: output forward places -- the FIFO wiring the replayer walks.
-    in_fwd: tuple[tuple[tuple[Hashable, int], ...], ...]
-    out_fwd: tuple[tuple[tuple[Hashable, int], ...], ...]
-    #: Per node: real output channel ids (shells only; () elsewhere).
-    out_channels: tuple[tuple[int, ...], ...]
 
     @property
     def n_places(self) -> int:
@@ -96,16 +90,8 @@ class CompiledSystem:
             raise ValueError("empty assignment batch")
         tokens = np.tile(self.tokens0, (len(assignments), 1))
         for b, extra in enumerate(assignments):
-            unknown = set(extra) - set(self.sizable_col)
-            if unknown:
-                raise LisError(
-                    f"extra tokens on unknown channels: {sorted(unknown)}"
-                )
+            check_extra_tokens(extra, self.sizable_col)
             for cid, count in extra.items():
-                if count < 0:
-                    raise LisError(
-                        f"negative extra tokens on channel {cid}"
-                    )
                 tokens[b, self.sizable_col[cid]] += count
         return tokens
 
@@ -186,25 +172,14 @@ def compile_lis(lis: LisGraph, mg: "MarkedGraph | None" = None) -> CompiledSyste
     occ_cols: list[int] = []
     occ_channels: list[int] = []
     sizable_col: dict[int, int] = {}
-    in_fwd: list[list[tuple[Hashable, int]]] = [[] for _ in node_names]
-    out_fwd: list[list[tuple[Hashable, int]]] = [[] for _ in node_names]
     for col, place in enumerate(places):
         data = place.data
         if data["kind"] == "fwd":
-            in_fwd[node_index[place.dst]].append((data["channel"], col))
-            out_fwd[node_index[place.src]].append((data["channel"], col))
             if not data.get("internal") and is_shell[node_index[place.dst]]:
                 occ_cols.append(col)
                 occ_channels.append(data["channel"])
         elif data.get("sizable"):
             sizable_col[data["channel"]] = col
-
-    out_channels = tuple(
-        tuple(sorted(e.key for e in lis.system.out_edges(name)))
-        if is_shell[i] and name in lis.system
-        else ()
-        for i, name in enumerate(node_names)
-    )
 
     return CompiledSystem(
         node_names=node_names,
@@ -221,7 +196,4 @@ def compile_lis(lis: LisGraph, mg: "MarkedGraph | None" = None) -> CompiledSyste
         occ_cols=np.array(occ_cols, dtype=np.int64),
         occ_channels=tuple(occ_channels),
         sizable_col=sizable_col,
-        in_fwd=tuple(tuple(pairs) for pairs in in_fwd),
-        out_fwd=tuple(tuple(pairs) for pairs in out_fwd),
-        out_channels=out_channels,
     )

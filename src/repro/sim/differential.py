@@ -7,7 +7,9 @@ netlist the SystemVerilog exporter emits) -- compared for
 *cycle-exact* agreement on
 
 * firing patterns (every node, every clock),
-* emitted data values (when behaviours are supplied),
+* emitted data values (when behaviours are supplied; the kernel's
+  values replay through ``TraceSimulator.fire``, so ``rtl`` is the
+  independent check of the value semantics),
 * measured throughput at a probe shell (exact ``Fraction`` equality),
 * peak queue occupancy per channel.
 
@@ -29,9 +31,7 @@ from fractions import Fraction
 from typing import Hashable
 
 from ..core.lis_graph import LisGraph
-from ..lis.rtl_sim import RtlSimulator
-from ..lis.trace_sim import TraceSimulator
-from .batch import FastSimulator
+from ..lis.backends import simulator_class
 
 __all__ = ["DifferentialReport", "differential_check"]
 
@@ -92,21 +92,17 @@ def differential_check(
             ``clocks`` covers the transient plus one hyperperiod, its
             peak occupancies to equal the simulated ones exactly).
     """
-    fast = FastSimulator(lis, _instantiate(behaviors), extra_tokens)
-    trace_sim = TraceSimulator(lis, _instantiate(behaviors), extra_tokens)
-    rtl_sim = RtlSimulator(lis, _instantiate(behaviors), extra_tokens)
-    traces = {
-        "fast": fast.run(clocks),
-        "trace": trace_sim.run(clocks),
-        "rtl": rtl_sim.run(clocks),
+    sims = {
+        backend: simulator_class(backend)(
+            lis, _instantiate(behaviors), extra_tokens
+        )
+        for backend in BACKENDS
     }
-    sims: dict[str, object] = {"fast": fast, "trace": trace_sim, "rtl": rtl_sim}
+    traces = {backend: sim.run(clocks) for backend, sim in sims.items()}
     failures: list[str] = []
 
     reference = traces["trace"]
-    for backend in BACKENDS:
-        if backend == "trace":
-            continue
+    for backend in ("fast", "rtl"):
         if traces[backend].fired != reference.fired:
             failures.append(f"firing pattern: {backend} != trace")
     if compare_values and behaviors is not None:
@@ -124,12 +120,9 @@ def differential_check(
         failures.append(f"throughput at {probe!r}: {throughput}")
 
     occupancy = {
-        backend: sims[backend].max_queue_occupancy()  # type: ignore[attr-defined]
-        for backend in BACKENDS
+        backend: sim.max_queue_occupancy() for backend, sim in sims.items()
     }
-    for backend in BACKENDS:
-        if backend == "trace":
-            continue
+    for backend in ("fast", "rtl"):
         if occupancy[backend] != occupancy["trace"]:
             failures.append(
                 f"max queue occupancy: {backend} != trace "

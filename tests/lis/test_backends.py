@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core import LisGraph, actual_mst
+from repro.core import LisError, LisGraph, actual_mst
 from repro.core.throughput import ThroughputResult
 from repro.faults import BACKENDS as FAULT_BACKENDS
 from repro.faults import build_schedule, random_stalls
-from repro.gen import fig15_lis
+from repro.gen import fig15_lis, named_system
 from repro.lis import (
     BACKENDS,
+    RtlSimulator,
+    TraceSimulator,
     available_backends,
     crossvalidate,
     get_backend,
@@ -21,6 +23,7 @@ from repro.lis import (
     resolve_backend,
     select_probe_shell,
 )
+from repro.lis.backends import simulator_class
 
 
 def disconnected_lis():
@@ -171,6 +174,61 @@ def test_measure_rejects_faults_on_analytic_backend():
 def test_faults_backend_tuple_derived_from_registry():
     assert FAULT_BACKENDS == ("trace", "rtl", "fast")
     assert all(BACKENDS[name].supports_faults for name in FAULT_BACKENDS)
+
+
+# ----------------------------------------------------------------------
+# Simulators by name
+# ----------------------------------------------------------------------
+
+
+def test_simulator_class_names_the_three_simulators():
+    from repro.sim import FastSimulator
+
+    assert simulator_class("trace") is TraceSimulator
+    assert simulator_class("rtl") is RtlSimulator
+    assert simulator_class("fast") is FastSimulator
+    with pytest.raises(ValueError, match="unknown backend 'schedule'"):
+        simulator_class("schedule")
+
+
+@pytest.mark.parametrize(
+    "extra", [{99: 1}, {5: -1}], ids=["unknown-channel", "negative"]
+)
+def test_bad_extra_tokens_are_refused_everywhere(extra):
+    """Every simulator, the RTL export and the ``measure`` op refuse an
+    assignment naming an unknown channel or a negative count, instead
+    of running the unsized or a shrunken system."""
+    from repro.core.serialize import lis_to_json
+    from repro.dsl import export_rtl
+    from repro.engine.ops import run_op
+
+    lis = fig15_lis()
+    for name in ("trace", "rtl", "fast"):
+        with pytest.raises(LisError):
+            simulator_class(name)(lis, extra_tokens=extra)
+        with pytest.raises(LisError):
+            run_op(
+                "measure",
+                lis_to_json(lis),
+                {"backend": name, "shell": "A", "extra_tokens": extra},
+            )
+    with pytest.raises(LisError):
+        export_rtl(lis, extra_tokens=extra)
+
+
+@pytest.mark.parametrize("name", ["fig15", "cofdm"])
+def test_fast_rate_under_a_fault_gate_equals_trace(name):
+    """The ``fast`` backend counts firings under a stall mask built
+    from the gate; its rate equals the reference's, and the stalls do
+    move it."""
+    lis = named_system(name)
+    shell = sorted(lis.shells(), key=repr)[0]
+    gate = build_schedule(lis, random_stalls(seed=3, horizon=300)).gate(0)
+    window = {"clocks": 200, "warmup": 50}
+    fast = measured_throughput(lis, shell, backend="fast", faults=gate, **window)
+    trace = measured_throughput(lis, shell, backend="trace", faults=gate, **window)
+    assert fast == trace
+    assert fast < measured_throughput(lis, shell, backend="fast", **window)
 
 
 # ----------------------------------------------------------------------

@@ -95,6 +95,16 @@ def test_batch_record_history_and_replay():
     assert all(res.fired(1)["A"][3:])
 
 
+def test_replay_of_a_sized_configuration():
+    """``to_trace(b)`` of a sized configuration equals a reference run
+    with that configuration's extra tokens."""
+    res = BatchSimulator(fig1_lis(), [{}, {1: 1}]).run(40, record=True)
+    ref = TraceSimulator(fig1_lis(), table1_behaviors(), {1: 1}).run(40)
+    replayed = res.to_trace(1, table1_behaviors())
+    assert replayed.fired == ref.fired
+    assert replayed.outputs == ref.outputs
+
+
 def test_history_required_for_replay():
     res = BatchSimulator(fig1_lis()).run(10)
     with pytest.raises(ValueError):
