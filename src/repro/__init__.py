@@ -83,7 +83,6 @@ from .core import (
     ideal_mst,
     minimal_fixed_q,
     mst,
-    register_solver,
     size_queues,
 )
 from .analysis import Context, get_context
@@ -103,15 +102,11 @@ from .faults import (
 )
 from .gen import GeneratorConfig, generate_lis, mesh_lis, torus_lis
 from .lis import (
-    Backend,
     RtlSimulator,
     ShellBehavior,
     TraceSimulator,
-    available_backends,
     crossvalidate,
-    get_backend,
     measured_throughput,
-    register_backend,
     simulate_trace,
 )
 __version__ = "1.10.0"
@@ -182,7 +177,6 @@ __all__ = [
     "AnalysisEngine",
     "AnalysisReport",
     "AnalysisServer",
-    "Backend",
     "BatchSimulator",
     "Channel",
     "Checkpoint",
@@ -218,7 +212,6 @@ __all__ = [
     "analyze",
     "analyze_many",
     "arrival_envelope",
-    "available_backends",
     "available_solvers",
     "bernoulli_stalls",
     "build_schedule",
@@ -234,7 +227,6 @@ __all__ = [
     "export_rtl",
     "fixed_qs_mst",
     "generate_lis",
-    "get_backend",
     "get_context",
     "get_solver",
     "ideal_mst",
@@ -243,8 +235,6 @@ __all__ = [
     "minimal_fixed_q",
     "mst",
     "periodic_stalls",
-    "register_backend",
-    "register_solver",
     "run_campaign",
     "run_checkpointed",
     "run_monte_carlo",

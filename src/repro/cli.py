@@ -1011,9 +1011,8 @@ def _cmd_simulate(args) -> int:
     lis = get_context(load_lis(args.file))
     if args.batch is not None:
         return _cmd_simulate_batch(args, lis, backend)
-    # Resolve the fallback chain up front so the report names the
-    # backend that actually ran (schedule -> fast on disconnected
-    # systems).
+    # Resolve up front so the report names the backend that actually
+    # ran (schedule -> fast on disconnected systems).
     resolved = resolve_backend(backend or "trace", lis)
     probe = args.shell if args.shell is not None else select_probe_shell(lis)
     rate = measured_throughput(
@@ -1021,14 +1020,14 @@ def _cmd_simulate(args) -> int:
         probe,
         clocks=args.clocks,
         warmup=args.warmup,
-        backend=resolved.name,
+        backend=resolved,
     )
     analytic = actual_mst(lis).mst
     print(f"probe shell:     {probe}")
-    print(f"simulator:       {resolved.name}")
+    print(f"simulator:       {resolved}")
     print(f"measured rate:   {rate} ({float(rate):.4f})")
     print(f"analytic MST:    {analytic} ({float(analytic):.4f})")
-    if resolved.exact:
+    if resolved == "schedule":
         match = "equal" if rate == analytic else "MISMATCH"
         print(f"exact backend:   rate vs analytic MST: {match}")
     return 0

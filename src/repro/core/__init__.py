@@ -77,13 +77,11 @@ from .solvers import (
     fixed_qs_profile,
     get_solver,
     minimal_fixed_q,
-    register_solver,
     size_queues,
 )
 from .serialize import lis_from_json, lis_to_json, load_lis, save_lis
 from .slack import channel_slack, pipelining_slack
 from .report import AnalysisReport, analyze
-from .combined import CombinedSolution, combined_repair
 from .scheduling import ScheduleError, schedule_lis, simulation_driven_sizing
 
 __all__ = [
@@ -125,7 +123,6 @@ __all__ = [
     "available_solvers",
     "compile_td",
     "get_solver",
-    "register_solver",
     "lis_from_json",
     "lis_to_json",
     "load_lis",
@@ -134,8 +131,6 @@ __all__ = [
     "pipelining_slack",
     "AnalysisReport",
     "analyze",
-    "CombinedSolution",
-    "combined_repair",
     "ScheduleError",
     "schedule_lis",
     "simulation_driven_sizing",

@@ -2,10 +2,9 @@
 VII-B plus fixed uniform sizing, behind one high-level entry point.
 
 :func:`size_queues` is the one system-level entry point; it looks the
-named algorithm up in the solver registry (:func:`get_solver` /
-:func:`register_solver`, so external solvers plug in uniformly) and
-calls :meth:`Solver.solve_instance` on the system's token-deficit
-instance, which is also how a raw instance is solved.
+named algorithm up (:func:`get_solver`) and calls
+:meth:`Solver.solve_instance` on the system's token-deficit instance,
+which is also how a raw instance is solved.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .heuristic import (
     solve_td_heuristic_reference_instance,
 )
 from .kernel import KernelStats, TdKernel, compile_td
-from .registry import Solver, available_solvers, get_solver, register_solver
+from .registry import Solver, available_solvers, get_solver
 
 __all__ = [
     "QsSolution",
@@ -33,7 +32,6 @@ __all__ = [
     "Solver",
     "available_solvers",
     "get_solver",
-    "register_solver",
     "compile_td",
     "TdKernel",
     "KernelStats",

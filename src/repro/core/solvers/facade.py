@@ -1,9 +1,9 @@
 """The high-level queue-sizing entry point.
 
 :func:`size_queues` is the API most callers want: it builds the
-token-deficit instance (optionally collapsing SCCs first, per the
-paper's rule-4 simplification), dispatches to the requested solver
-through the :mod:`~repro.core.solvers.registry`, maps the solution
+token-deficit instance (collapsing SCCs first where the paper's rule-4
+simplification applies), dispatches to the requested solver
+(:func:`~repro.core.solvers.registry.get_solver`), maps the solution
 back to channels of the original system, and verifies that the
 restored MST matches the target.
 """
@@ -35,7 +35,7 @@ class QsSolution:
         target: The throughput the solution restores.
         achieved: The verified MST of the doubled graph with the
             solution applied.
-        method: The registry name of the solver that produced it.
+        method: The name of the solver that produced it.
         simplified: Whether the SCC collapse was applied.
         cycles_enumerated: Deficient cycles the solver reasoned about.
         elapsed: Solver wall-clock time in seconds (excluding cycle
@@ -68,10 +68,8 @@ def size_queues(
     lis: LisGraph,
     method: str = "heuristic",
     target: Fraction | None = None,
-    collapse: str = "auto",
     timeout: float | None = None,
     max_cycles: int | None = None,
-    verify: bool = True,
 ) -> QsSolution:
     """Size the queues of ``lis`` to eliminate MST degradation.
 
@@ -82,25 +80,22 @@ def size_queues(
             collapse, and the base lowering the verification reads are
             all served from the context's artifact cache), or a
             :class:`LisGraph`, wrapped in a private context.
-        method: A registered solver name -- ``"heuristic"`` (Section
-            VII-B descent), ``"greedy"`` (set-cover marginal coverage),
-            ``"exact"`` (binary search + branch and bound), or
-            anything added via
-            :func:`~repro.core.solvers.register_solver`.  The exact
+        method: A solver name (:func:`available_solvers`) --
+            ``"heuristic"`` (Section VII-B descent), ``"greedy"``
+            (set-cover marginal coverage), ``"exact"`` (binary search +
+            branch and bound), or a reference oracle.  The exact
             solvers may raise :class:`ExactTimeout`.
         target: Throughput to restore; default = the ideal MST.
-        collapse: ``"auto"`` collapses SCCs when the topology allows it
-            (relay stations only between SCCs), ``"never"`` works on
-            the full graph, ``"always"`` requires collapsibility.
         timeout: Wall-clock budget for timeout-aware solvers.
         max_cycles: Cycle-enumeration budget (raises
             :class:`~repro.graphs.CycleExplosionError` beyond it).
-        verify: Record the MST achieved with the solution applied
-            (:meth:`repro.analysis.Context.sized_mst`, cached per
-            solution): one Bellman--Ford pass, plus the minimum cycle
-            mean of the sized lowering only when it falls short of the
-            ideal MST
-            (disable only in tight benchmarking loops).
+
+    SCCs are collapsed first exactly when the topology allows it
+    (:func:`~repro.core.cycles.is_collapsible`: relay stations only
+    between SCCs).  The MST achieved with the solution applied is
+    always checked (:meth:`repro.analysis.Context.sized_mst`, cached
+    per solution): one Bellman--Ford pass, plus the minimum cycle mean
+    of the sized lowering only when it falls short of the ideal MST.
 
     Returns:
         A :class:`QsSolution` whose ``extra_tokens`` refer to channels
@@ -109,8 +104,6 @@ def size_queues(
     from ...analysis import Context, ContextStats
 
     solver = get_solver(method)
-    if collapse not in ("auto", "never", "always"):
-        raise ValueError(f"unknown collapse mode {collapse!r}")
     if not isinstance(lis, Context):
         # A private context with its own counters: one base lowering
         # serves the instance and the verification.
@@ -122,13 +115,10 @@ def size_queues(
             f"target throughput must be in (0, 1], got {goal}"
         )
 
-    use_collapse = (
-        collapse == "always"
-        or (collapse == "auto" and is_collapsible(lis))
-    )
+    simplified = is_collapsible(lis)
     channel_map: dict[int, int] | None = None
     work = lis
-    if use_collapse:
+    if simplified:
         work, channel_map = lis.collapsed()
 
     t0 = time.monotonic()
@@ -143,14 +133,13 @@ def size_queues(
     if channel_map is not None:
         merged = {channel_map[cid]: tokens for cid, tokens in merged.items()}
 
-    achieved = lis.sized_mst(merged) if verify else goal
     return QsSolution(
         extra_tokens=merged,
         cost=sum(merged.values()),
         target=goal,
-        achieved=achieved,
+        achieved=lis.sized_mst(merged),
         method=solver.name,
-        simplified=use_collapse,
+        simplified=simplified,
         cycles_enumerated=len(instance.cycles),
         elapsed=t2 - t1,
         enumeration_elapsed=t1 - t0,

@@ -1,7 +1,6 @@
-"""The queue-sizing solver registry.
+"""The queue-sizing solvers by name.
 
-Every solver is registered under a short name with one normalized
-instance-level signature::
+Every solver has one normalized instance-level signature::
 
     fn(instance: TokenDeficitInstance, *, timeout: float | None = None)
         -> tuple[dict[int, int], dict]
@@ -9,9 +8,7 @@ instance-level signature::
 returning the residual weights plus a stats dict (``nodes_explored``,
 ``backend``, ... -- solver specific).  :func:`get_solver` is the one
 lookup used by :func:`~repro.core.solvers.size_queues`, the analysis
-engine, and the benchmarks; third-party solvers plug in through
-:func:`register_solver` and immediately work everywhere a method name
-is accepted.
+engine, and the benchmarks.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ from .heuristic import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..token_deficit import TokenDeficitInstance
 
-__all__ = ["Solver", "available_solvers", "get_solver", "register_solver"]
+__all__ = ["Solver", "available_solvers", "get_solver"]
 
 InstanceSolver = Callable[..., "tuple[dict[int, int], dict]"]
 
@@ -42,14 +39,12 @@ class Solver:
     """A named queue-sizing algorithm.
 
     Attributes:
-        name: Registry key (``size_queues(..., method=name)``).
+        name: Its key (``size_queues(..., method=name)``).
         fn: The normalized instance-level solver.
-        description: One-line summary shown by diagnostics.
     """
 
     name: str
     fn: InstanceSolver = field(repr=False)
-    description: str = ""
 
     def solve_instance(
         self,
@@ -65,25 +60,25 @@ class Solver:
         return self.fn(instance, timeout=timeout)
 
 
-_REGISTRY: dict[str, Solver] = {}
-
-
-def register_solver(
-    name: str,
-    fn: InstanceSolver,
-    description: str = "",
-    overwrite: bool = False,
-) -> Solver:
-    """Register ``fn`` under ``name``; returns the :class:`Solver`."""
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(f"solver {name!r} already registered")
-    solver = Solver(name=name, fn=fn, description=description)
-    _REGISTRY[name] = solver
-    return solver
+_REGISTRY: dict[str, Solver] = {
+    solver.name: solver
+    for solver in (
+        # Section VII-B decrement-and-test descent (bitset kernel).
+        Solver("heuristic", solve_td_heuristic_instance),
+        # Pure-Python reference descent (the kernel's oracle).
+        Solver("heuristic-ref", solve_td_heuristic_reference_instance),
+        # Textbook set-cover marginal coverage.
+        Solver("greedy", solve_td_greedy_instance),
+        # Binary search + branch and bound (optimal, bitset kernel).
+        Solver("exact", solve_td_exact_instance),
+        # Pure-Python reference exact search (the kernel's oracle).
+        Solver("exact-ref", solve_td_exact_reference_instance),
+    )
+}
 
 
 def get_solver(name: str) -> Solver:
-    """Look up a registered solver by name (ValueError when unknown)."""
+    """Look up a solver by name (ValueError when unknown)."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -94,32 +89,6 @@ def get_solver(name: str) -> Solver:
 
 
 def available_solvers() -> tuple[str, ...]:
-    """Registered solver names, sorted."""
+    """Solver names, sorted."""
     return tuple(sorted(_REGISTRY))
 
-
-register_solver(
-    "heuristic",
-    solve_td_heuristic_instance,
-    description="Section VII-B decrement-and-test descent (bitset kernel)",
-)
-register_solver(
-    "heuristic-ref",
-    solve_td_heuristic_reference_instance,
-    description="pure-Python reference descent (kernel oracle)",
-)
-register_solver(
-    "greedy",
-    solve_td_greedy_instance,
-    description="textbook set-cover marginal coverage",
-)
-register_solver(
-    "exact",
-    solve_td_exact_instance,
-    description="binary search + branch and bound (optimal, bitset kernel)",
-)
-register_solver(
-    "exact-ref",
-    solve_td_exact_reference_instance,
-    description="pure-Python reference exact search (kernel oracle)",
-)

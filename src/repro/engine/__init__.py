@@ -18,13 +18,12 @@ content-hash cache layers.
 from .cache import DiskCache, LruCache, canonical_options, content_key
 from .checkpoint import Checkpoint, run_checkpointed, task_key
 from .core import AnalysisEngine, EngineStats, analyze_many
-from .ops import available_ops, get_op, register_op, run_op
+from .ops import get_op, register_op, run_op
 
 __all__ = [
     "AnalysisEngine",
     "EngineStats",
     "analyze_many",
-    "available_ops",
     "get_op",
     "register_op",
     "run_op",

@@ -28,7 +28,7 @@ from typing import Callable
 from ..analysis import Context, context_from_json, get_context, global_stats
 from ..core.throughput import actual_mst, ideal_mst
 
-__all__ = ["available_ops", "get_op", "register_op", "run_op"]
+__all__ = ["get_op", "register_op", "run_op"]
 
 OpFn = Callable[[Context, dict], "tuple[object, dict]"]
 
@@ -48,10 +48,6 @@ def get_op(name: str) -> OpFn:
     except KeyError:
         known = ", ".join(sorted(_OPS))
         raise ValueError(f"unknown op {name!r} (available: {known})") from None
-
-
-def available_ops() -> tuple[str, ...]:
-    return tuple(sorted(_OPS))
 
 
 def run_op(op: str, lis_json: str, options: dict | None) -> tuple:
@@ -118,10 +114,10 @@ def _sweep_rate(trial, method: str) -> Fraction:
     (the analytic schedule oracle's common shell rate, falling back to
     the minimum cycle mean on systems it does not support)."""
     if method == "schedule":
-        from ..lis.backends import get_backend
+        from ..lis.backends import schedule_applies
 
         tctx = get_context(trial)
-        if get_backend("schedule").supports(tctx):
+        if schedule_applies(tctx):
             return tctx.schedule_oracle().min_rate()
         return actual_mst(tctx).mst
     if method != "analytic":
@@ -158,16 +154,16 @@ def _op_mst_sweep(ctx: Context, options: dict):
 
 def _op_measure(ctx: Context, options: dict):
     """Throughput of one shell through a named measurement backend
-    (:mod:`repro.lis.backends`), with automatic fallback.
+    (:data:`repro.lis.backends.BACKENDS`), with automatic fallback.
 
     Options: ``backend`` (default ``"schedule"``), ``shell`` (default:
     the limiting-cycle probe of :func:`repro.lis.select_probe_shell`),
-    ``clocks`` / ``warmup`` (simulation horizon; ignored by exact
-    backends), ``extra_tokens``.  Returns ``{"shell", "backend"
+    ``clocks`` / ``warmup`` (simulation horizon; ignored by
+    ``schedule``), ``extra_tokens``.  Returns ``{"shell", "backend"
     (the backend that actually ran, after fallback), "throughput"}``.
     """
     from ..lis.backends import resolve_backend
-    from ..lis.measurement import select_probe_shell
+    from ..lis.measurement import measured_throughput, select_probe_shell
 
     extra = options.get("extra_tokens")
     if extra is not None:
@@ -178,16 +174,21 @@ def _op_measure(ctx: Context, options: dict):
     clocks = int(options.get("clocks", 400))
     warmup = int(options.get("warmup", 100))
     backend = resolve_backend(options.get("backend", "schedule"), ctx)
-    rate = backend.measure(
-        ctx, shell, clocks=clocks, warmup=warmup, extra_tokens=extra
+    rate = measured_throughput(
+        ctx,
+        shell,
+        clocks=clocks,
+        warmup=warmup,
+        backend=backend,
+        extra_tokens=extra,
     )
     meta = {
         "solver_calls": 0,
-        "simulated_cycles": 0 if backend.exact else warmup + clocks,
+        "simulated_cycles": 0 if backend == "schedule" else warmup + clocks,
     }
     return {
         "shell": shell,
-        "backend": backend.name,
+        "backend": backend,
         "throughput": rate,
     }, meta
 
@@ -199,10 +200,8 @@ def _op_size_queues(ctx: Context, options: dict):
         ctx,
         method=options.get("method", "heuristic"),
         target=_coerce_target(options.get("target")),
-        collapse=options.get("collapse", "auto"),
         timeout=options.get("timeout"),
         max_cycles=options.get("max_cycles"),
-        verify=options.get("verify", True),
     )
     return solution, {
         "solver_calls": 1,
@@ -327,6 +326,7 @@ def _op_simulate_batch(ctx: Context, options: dict):
     answers are the simulator's; meta ``simulated_cycles`` is 0 when
     nothing was stepped.
     """
+    from ..lis.backends import resolve_backend
     from ..schedule.oracle import derive_schedule
     from ..sim.batch import check_window
 
@@ -349,12 +349,7 @@ def _op_simulate_batch(ctx: Context, options: dict):
         flags = [bool(f) for f in kern.check_batch(assignments)]
         solver_meta = _solver_counters({"batch_checks": len(assignments)})
 
-    if backend == "schedule":
-        from ..lis.backends import get_backend
-
-        if not get_backend("schedule").supports(ctx):
-            backend = "fast"
-
+    backend = resolve_backend(backend, ctx)
     simulated = 0
     if backend == "schedule":
         answers = []

@@ -33,7 +33,7 @@ from typing import Callable, Hashable, Mapping
 
 from ..core.lis_graph import LisGraph
 from ..core.throughput import actual_mst, ideal_mst
-from ..lis.backends import BACKENDS as _SIM_BACKENDS, simulator_class
+from ..lis.backends import SIMULATORS, simulator_class
 from ..lis.equivalence import valid_stream
 from ..lis.protocol import ShellBehavior, Trace
 from .models import (
@@ -46,14 +46,9 @@ from .models import (
 
 __all__ = ["BACKENDS", "Violation", "FaultRunReport", "check_invariants"]
 
-#: Fault-capable simulation backends, straight from the registry's
-#: capability flags (the analytic ``schedule`` oracle has no notion of
-#: a per-clock stall, so it is excluded automatically).
-BACKENDS = tuple(
-    name
-    for name, backend in _SIM_BACKENDS.items()
-    if backend.supports_faults
-)
+#: Fault-capable backends: the three simulators (the analytic
+#: ``schedule`` oracle has no notion of a per-clock stall).
+BACKENDS = SIMULATORS
 
 
 @dataclass(frozen=True)

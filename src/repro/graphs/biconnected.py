@@ -1,6 +1,6 @@
-"""Articulation points and biconnected components (Hopcroft--Tarjan).
+"""Biconnected components (Hopcroft--Tarjan).
 
-Both are computed on the *underlying undirected multigraph* of a
+They are computed on the *underlying undirected multigraph* of a
 :class:`~repro.graphs.digraph.Digraph`.  They drive the topology
 classification of the paper's Section IV: a strongly connected LIS has
 *no reconvergent paths* exactly when every biconnected component of its
@@ -20,12 +20,7 @@ from typing import Hashable
 
 from .digraph import Digraph, Edge
 
-__all__ = [
-    "undirected_adjacency",
-    "articulation_points",
-    "biconnected_components",
-    "bridges",
-]
+__all__ = ["undirected_adjacency", "biconnected_components"]
 
 
 def undirected_adjacency(graph: Digraph) -> dict[Hashable, list[Edge]]:
@@ -115,36 +110,3 @@ def biconnected_components(graph: Digraph) -> list[list[Edge]]:
     # adjacency entry; we added it once, so nothing to do).
     return components
 
-
-def articulation_points(graph: Digraph) -> set[Hashable]:
-    """Nodes whose removal disconnects the underlying undirected graph."""
-    points: set[Hashable] = set()
-    # A node is an articulation point iff it belongs to >= 2 biconnected
-    # components that each contain at least one non-self-loop edge, or is
-    # the attachment of a self-loop plus another component.  The classic
-    # characterisation via components is simpler and already exact:
-    membership: dict[Hashable, int] = {}
-    for component in biconnected_components(graph):
-        nodes = set()
-        for edge in component:
-            nodes.add(edge.src)
-            nodes.add(edge.dst)
-        for node in nodes:
-            membership[node] = membership.get(node, 0) + 1
-    for node, count in membership.items():
-        if count >= 2:
-            points.add(node)
-    return points
-
-
-def bridges(graph: Digraph) -> list[Edge]:
-    """Edges whose removal disconnects the underlying undirected graph.
-
-    A bridge is exactly a biconnected component consisting of a single
-    non-self-loop edge.
-    """
-    result = []
-    for component in biconnected_components(graph):
-        if len(component) == 1 and component[0].src != component[0].dst:
-            result.append(component[0])
-    return result

@@ -39,7 +39,6 @@ __all__ = [
     "elementary_node_cycles",
     "elementary_edge_cycles",
     "count_edge_cycles",
-    "cycle_edges_to_nodes",
 ]
 
 
@@ -198,7 +197,3 @@ def count_edge_cycles(graph: Digraph) -> int:
         total += count
     return total
 
-
-def cycle_edges_to_nodes(cycle: list[Edge]) -> list[Hashable]:
-    """The node sequence visited by an edge cycle (one entry per hop)."""
-    return [edge.src for edge in cycle]

@@ -249,18 +249,6 @@ class Digraph:
         g._next_key = self._next_key
         return g
 
-    def reversed(self) -> "Digraph":
-        """A copy with every edge direction flipped (keys preserved)."""
-        g = type(self)()
-        for node, data in self._node_data.items():
-            g.add_node(node, **data)
-        for edge in self._edges.values():
-            g._edges[edge.key] = Edge(edge.key, edge.dst, edge.src, dict(edge.data))
-            g._out[edge.dst].append(edge.key)
-            g._in[edge.src].append(edge.key)
-        g._next_key = self._next_key
-        return g
-
     # ------------------------------------------------------------------
     # Structural predicates
     # ------------------------------------------------------------------

@@ -1,10 +1,8 @@
-"""Serialization helpers for :class:`~repro.graphs.digraph.Digraph`.
+"""Graphviz DOT export of a :class:`~repro.graphs.digraph.Digraph`.
 
-Provides a stable edge-list text format (round-trippable, used by the
-experiment harness to persist generated topologies) and Graphviz DOT
-export for visual inspection of marked graphs, with the paper's
-conventions: dashed backedges, token counts as edge labels, boxes for
-relay stations.
+For visual inspection of marked graphs, with the paper's conventions:
+dashed backedges, token counts as edge labels, boxes for relay
+stations.
 """
 
 from __future__ import annotations
@@ -14,35 +12,7 @@ from typing import Callable
 
 from .digraph import Digraph, Edge
 
-__all__ = ["to_edgelist", "from_edgelist", "to_dot"]
-
-
-def to_edgelist(graph: Digraph) -> str:
-    """Serialize to a line-oriented JSON edge-list format.
-
-    Line 1 is a JSON object of node -> attribute dict; each subsequent
-    line is one edge as ``[src, dst, attrs]``.  Node names must be
-    strings (or JSON-representable); edge keys are regenerated on load
-    in serialization order.
-    """
-    lines = [json.dumps({str(n): graph.node_data(n) for n in graph.nodes})]
-    for edge in sorted(graph.edges, key=lambda e: e.key):
-        lines.append(json.dumps([str(edge.src), str(edge.dst), edge.data]))
-    return "\n".join(lines) + "\n"
-
-
-def from_edgelist(text: str) -> Digraph:
-    """Parse the format produced by :func:`to_edgelist`."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    graph = Digraph()
-    if not lines:
-        return graph
-    for node, attrs in json.loads(lines[0]).items():
-        graph.add_node(node, **attrs)
-    for line in lines[1:]:
-        src, dst, attrs = json.loads(line)
-        graph.add_edge(src, dst, **attrs)
-    return graph
+__all__ = ["to_dot"]
 
 
 def to_dot(

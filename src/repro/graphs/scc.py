@@ -1,11 +1,10 @@
-"""Strongly connected components and condensation.
+"""Strongly connected components.
 
 The maximal-sustainable-throughput definition of the paper (Section
 III-C) decomposes a marked graph into its strongly connected components
 (SCCs): the MST of the whole system is the minimum MST over its SCC
-subgraphs.  The condensation (the DAG of SCCs) is also the object on
-which reconvergent paths between SCCs are detected and on which the
-SCC-collapse simplification of Section VII-A operates.
+subgraphs.  The SCC map of the system graph is also what the
+SCC-collapse simplification of Section VII-A operates on.
 
 Tarjan's algorithm is implemented iteratively.
 """
@@ -19,7 +18,6 @@ from .digraph import Digraph
 __all__ = [
     "tarjan",
     "strongly_connected_components",
-    "condensation",
     "is_strongly_connected",
     "scc_of",
 ]
@@ -116,29 +114,3 @@ def is_strongly_connected(graph: Digraph) -> bool:
         return False
     return len(strongly_connected_components(graph)) == 1
 
-
-def condensation(graph: Digraph) -> tuple[Digraph, dict[Hashable, int]]:
-    """The component DAG of ``graph``.
-
-    Returns ``(dag, mapping)`` where ``dag`` has one node per SCC (the
-    SCC index, an int) and one edge per inter-SCC edge of ``graph``
-    (parallel inter-SCC edges are preserved, since they correspond to
-    distinct channels; each condensation edge stores the key of the
-    originating edge in its ``data['origin']``), and ``mapping`` sends
-    each original node to its SCC index.
-
-    Each condensation node stores its member list in ``data['members']``.
-    """
-    components = strongly_connected_components(graph)
-    mapping: dict[Hashable, int] = {}
-    for idx, component in enumerate(components):
-        for node in component:
-            mapping[node] = idx
-    dag = Digraph()
-    for idx, component in enumerate(components):
-        dag.add_node(idx, members=list(component))
-    for edge in graph.edges:
-        a, b = mapping[edge.src], mapping[edge.dst]
-        if a != b:
-            dag.add_edge(a, b, origin=edge.key)
-    return dag, mapping

@@ -1,87 +1,18 @@
-"""Basic traversals on :class:`~repro.graphs.digraph.Digraph`.
+"""Topological order of a :class:`~repro.graphs.digraph.Digraph`.
 
-All traversals are iterative (no recursion) so they scale to the large
-doubled marked graphs produced by the synthetic generator without
-hitting Python's recursion limit.
+Kahn's algorithm is iterative (no recursion), so it scales to the
+large graphs produced by the synthetic generator without hitting
+Python's recursion limit.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable
 
 from .digraph import Digraph, GraphError
 
-__all__ = [
-    "dfs_preorder",
-    "bfs_order",
-    "reachable_from",
-    "co_reachable_to",
-    "topological_sort",
-    "is_acyclic",
-    "has_path",
-]
-
-
-def dfs_preorder(graph: Digraph, start: Hashable) -> Iterator[Hashable]:
-    """Yield nodes reachable from ``start`` in depth-first preorder."""
-    if not graph.has_node(start):
-        raise GraphError(f"no node {start!r}")
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        yield node
-        # Reverse so the first successor is explored first, matching the
-        # usual recursive formulation.
-        for succ in reversed(graph.successors(node)):
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-
-
-def bfs_order(graph: Digraph, start: Hashable) -> Iterator[Hashable]:
-    """Yield nodes reachable from ``start`` in breadth-first order."""
-    if not graph.has_node(start):
-        raise GraphError(f"no node {start!r}")
-    seen = {start}
-    queue: deque[Hashable] = deque([start])
-    while queue:
-        node = queue.popleft()
-        yield node
-        for succ in graph.successors(node):
-            if succ not in seen:
-                seen.add(succ)
-                queue.append(succ)
-
-
-def reachable_from(graph: Digraph, start: Hashable) -> set[Hashable]:
-    """The set of nodes reachable from ``start`` (including ``start``)."""
-    return set(dfs_preorder(graph, start))
-
-
-def co_reachable_to(graph: Digraph, target: Hashable) -> set[Hashable]:
-    """The set of nodes from which ``target`` is reachable (incl. itself)."""
-    return set(dfs_preorder(graph.reversed(), target))
-
-
-def has_path(graph: Digraph, src: Hashable, dst: Hashable) -> bool:
-    """True if a directed path ``src -> ... -> dst`` exists."""
-    if not graph.has_node(src) or not graph.has_node(dst):
-        return False
-    if src == dst:
-        return True
-    seen = {src}
-    stack = [src]
-    while stack:
-        node = stack.pop()
-        for succ in graph.successors(node):
-            if succ == dst:
-                return True
-            if succ not in seen:
-                seen.add(succ)
-                stack.append(succ)
-    return False
+__all__ = ["topological_sort", "is_acyclic"]
 
 
 def topological_sort(graph: Digraph) -> list[Hashable]:
@@ -109,7 +40,3 @@ def is_acyclic(graph: Digraph) -> bool:
         return False
     return True
 
-
-def induced_order(graph: Digraph, nodes: Iterable[Hashable]) -> list[Hashable]:
-    """Topological order of the subgraph induced by ``nodes``."""
-    return topological_sort(graph.subgraph(nodes))

@@ -11,11 +11,9 @@ from .rtl_sim import RtlSimulator, simulate_rtl
 from .environment import always_ready, bursty, periodic_stall, rate_limited
 from .backends import (
     BACKENDS,
-    Backend,
-    available_backends,
-    get_backend,
-    register_backend,
+    SIMULATORS,
     resolve_backend,
+    schedule_applies,
 )
 from .measurement import (
     crossvalidate,
@@ -45,11 +43,9 @@ __all__ = [
     "periodic_stall",
     "rate_limited",
     "BACKENDS",
-    "Backend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
+    "SIMULATORS",
     "resolve_backend",
+    "schedule_applies",
     "select_probe_shell",
     "crossvalidate",
     "EquivalenceReport",

@@ -14,7 +14,7 @@ from typing import Hashable
 
 from ..core.lis_graph import LisGraph
 from ..core.throughput import ThroughputResult, actual_mst
-from .backends import BACKENDS, get_backend, resolve_backend
+from .backends import BACKENDS, resolve_backend, schedule_applies, simulator_class
 
 __all__ = [
     "measured_throughput",
@@ -63,8 +63,7 @@ def measured_throughput(
     faults=None,
 ) -> Fraction:
     """Long-run firing rate of ``shell`` under the chosen backend
-    (any :func:`repro.lis.backends.get_backend` name; default
-    ``"trace"``).
+    (a :data:`~repro.lis.backends.BACKENDS` name; default ``"trace"``).
 
     ``"trace"``, ``"rtl"`` and ``"fast"`` simulate ``clocks`` measured
     cycles after ``warmup``; ``"schedule"`` returns the exact
@@ -78,15 +77,21 @@ def measured_throughput(
     reuses its cached lowering / compiled arrays (and the unsized
     system's ``schedule`` oracle).
     """
-    chosen = resolve_backend(backend or "trace", lis, faults=faults)
-    return chosen.measure(
-        lis,
-        shell,
-        clocks=clocks,
-        warmup=warmup,
-        extra_tokens=extra_tokens,
-        faults=faults,
-    )
+    name = resolve_backend(backend or "trace", lis, faults=faults)
+    if name == "schedule":
+        from ..analysis import get_context
+
+        return get_context(lis).schedule_oracle(extra_tokens).throughput(shell)
+    if name == "fast":
+        # Token counting only: a rate never replays values.
+        from ..sim.batch import BatchSimulator, gate_mask
+
+        batch = BatchSimulator(lis, [dict(extra_tokens or {})])
+        mask = gate_mask(batch.compiled, faults, 0, warmup + clocks)
+        result = batch.run(warmup + clocks, warmup=warmup, stall_mask=mask)
+        return result.throughput(0, shell)
+    sim = simulator_class(name)(lis, extra_tokens=extra_tokens, faults=faults)
+    return sim.run(warmup + clocks).throughput(shell, skip=warmup)
 
 
 def select_probe_shell(
@@ -124,24 +129,23 @@ def crossvalidate(
     extra_tokens: dict[int, int] | None = None,
     backends=None,
 ) -> dict:
-    """Compare the analytic MST against every registered backend.
+    """Compare the analytic MST against every measurement backend.
 
     Measures the rate of a shell on the limiting critical cycle (see
-    :func:`select_probe_shell`) through each backend of the
-    :mod:`repro.lis.backends` registry (or the given subset of names)
-    that supports the system, and returns a report dict with
-    ``analytic``, one rate per backend name, and ``agreed``.
+    :func:`select_probe_shell`) through each of
+    :data:`~repro.lis.backends.BACKENDS` (or the given subset of names),
+    skipping ``schedule`` where :func:`~repro.lis.backends.schedule_applies`
+    does not hold, and returns a report dict with ``analytic``, one
+    rate per backend name, and ``agreed``.
 
     Agreement demands:
 
-    * every *simulation* backend within ``tolerance`` of the analytic
-      MST (the finite horizon makes measured rates O(1/clocks) off);
-    * every ``exact`` backend (e.g. ``schedule``) **equal** to the
-      analytic MST -- no tolerance;
+    * every simulator within ``tolerance`` of the analytic MST (the
+      finite horizon makes measured rates O(1/clocks) off);
+    * the exact ``schedule`` rate **equal** to the analytic MST -- no
+      tolerance;
     * the vectorized and reference simulators cycle-exactly equal
       (``fast == trace``), since they implement the same semantics.
-
-    A backend registered later is cross-checked here for free.
 
     The system is wrapped in one shared
     :class:`repro.analysis.Context`, so the analytic MST, the trace
@@ -154,18 +158,22 @@ def crossvalidate(
     lis = get_context(lis)
     analysis = actual_mst(lis, extra_tokens)
     probe = select_probe_shell(lis, analysis)
-    names = tuple(backends) if backends is not None else tuple(BACKENDS)
+    names = tuple(backends) if backends is not None else BACKENDS
     rates: dict[str, Fraction] = {}
     agreed = True
     for name in names:
-        chosen = get_backend(name)
-        if not chosen.supports(lis):
+        if name == "schedule" and not schedule_applies(lis):
             continue
-        rate = chosen.measure(
-            lis, probe, clocks=clocks, warmup=warmup, extra_tokens=extra_tokens
+        rate = measured_throughput(
+            lis,
+            probe,
+            clocks=clocks,
+            warmup=warmup,
+            backend=name,
+            extra_tokens=extra_tokens,
         )
-        rates[chosen.name] = rate
-        if chosen.exact:
+        rates[name] = rate
+        if name == "schedule":
             agreed = agreed and rate == analysis.mst
         else:
             agreed = agreed and abs(rate - analysis.mst) <= tolerance

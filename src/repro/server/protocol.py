@@ -124,17 +124,8 @@ METHODS: dict[str, MethodSpec] = {
         MethodSpec(
             "size_queues",
             "size_queues",
-            "queue sizing through any registered solver",
-            allowed=frozenset(
-                {
-                    "method",
-                    "target",
-                    "collapse",
-                    "timeout",
-                    "max_cycles",
-                    "verify",
-                }
-            ),
+            "queue sizing through any solver",
+            allowed=frozenset({"method", "target", "timeout", "max_cycles"}),
         ),
         MethodSpec(
             "simulate",

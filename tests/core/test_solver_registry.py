@@ -1,17 +1,11 @@
-"""The solver registry and its one system-level entry point,
+"""The solver table and its one system-level entry point,
 ``size_queues``."""
 
 from fractions import Fraction
 
 import pytest
 
-from repro.core import (
-    available_solvers,
-    get_solver,
-    register_solver,
-    size_queues,
-)
-from repro.core.solvers.registry import _REGISTRY
+from repro.core import available_solvers, get_solver, size_queues
 from repro.core.token_deficit import build_td_instance
 from repro.gen import fig15_lis
 
@@ -34,7 +28,6 @@ def test_solver_solve_accepts_unified_keywords():
         target=Fraction(5, 6),
         timeout=30,
         max_cycles=100_000,
-        collapse="auto",
     )
     assert solution.method == "exact"
     assert solution.cost == 2
@@ -49,16 +42,3 @@ def test_solver_solve_instance_normalized_signature():
         assert isinstance(weights, dict)
         assert isinstance(stats, dict)
 
-
-def test_register_custom_solver():
-    def solve_nothing(instance, *, timeout=None):
-        return {}, {"custom": True}
-
-    register_solver("null", solve_nothing, description="test stub")
-    try:
-        assert "null" in available_solvers()
-        with pytest.raises(ValueError, match="already registered"):
-            register_solver("null", solve_nothing)
-        register_solver("null", solve_nothing, overwrite=True)
-    finally:
-        _REGISTRY.pop("null", None)

@@ -1,21 +1,37 @@
-"""Tests for articulation points / biconnected components.
+"""Tests for biconnected components.
 
 networkx has no multigraph biconnectivity, so the oracle comparisons run
 on simple graphs; multigraph behaviour (parallel edges forming an
 undirected cycle) is covered by hand-written cases, since that exact
-property drives the paper's reconvergent-path classification.
+property drives the paper's reconvergent-path classification.  The
+articulation points and bridges the cases check are read off the
+components.
 """
 
 import networkx as nx
 from hypothesis import given
 
-from repro.graphs import (
-    Digraph,
-    articulation_points,
-    biconnected_components,
-    bridges,
-)
+from repro.graphs import Digraph, biconnected_components
 from tests.strategies import digraphs
+
+
+def articulation_points(g: Digraph) -> set:
+    """Nodes lying in two or more biconnected components."""
+    membership: dict = {}
+    for component in biconnected_components(g):
+        for node in {n for e in component for n in (e.src, e.dst)}:
+            membership[node] = membership.get(node, 0) + 1
+    return {node for node, count in membership.items() if count >= 2}
+
+
+def bridges(g: Digraph) -> list:
+    """Edges forming a biconnected component on their own (self-loops
+    excepted)."""
+    return [
+        c[0]
+        for c in biconnected_components(g)
+        if len(c) == 1 and c[0].src != c[0].dst
+    ]
 
 
 def to_nx_undirected(g: Digraph) -> nx.Graph:

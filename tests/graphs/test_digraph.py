@@ -121,16 +121,6 @@ def test_subgraph_missing_node_raises():
         g.subgraph(["a", "zzz"])
 
 
-def test_reversed_flips_all_edges():
-    g = Digraph()
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    r = g.reversed()
-    assert r.has_edge("b", "a")
-    assert r.has_edge("c", "b")
-    assert not r.has_edge("a", "b")
-
-
 def test_sources_and_sinks():
     g = Digraph()
     g.add_edge("a", "b")

@@ -1,44 +1,6 @@
-"""Tests for graph serialization."""
+"""Tests for Graphviz DOT export."""
 
-from hypothesis import given
-
-from repro.graphs import Digraph, from_edgelist, to_dot, to_edgelist
-from tests.strategies import digraphs
-
-
-def test_edgelist_roundtrip_simple():
-    g = Digraph()
-    g.add_node("a", role="shell")
-    g.add_edge("a", "b", tokens=1, kind="fwd")
-    g.add_edge("b", "a", tokens=2, kind="back")
-    h = from_edgelist(to_edgelist(g))
-    assert set(h.nodes) == {"a", "b"}
-    assert h.node_data("a") == {"role": "shell"}
-    assert h.number_of_edges() == 2
-    kinds = sorted(e.data["kind"] for e in h.edges)
-    assert kinds == ["back", "fwd"]
-
-
-def test_edgelist_empty_graph():
-    assert from_edgelist(to_edgelist(Digraph())).number_of_nodes() == 0
-
-
-def test_edgelist_preserves_parallel_edges():
-    g = Digraph()
-    g.add_edge("a", "b", tokens=0)
-    g.add_edge("a", "b", tokens=1)
-    h = from_edgelist(to_edgelist(g))
-    assert len(h.edges_between("a", "b")) == 2
-
-
-@given(digraphs(max_nodes=6, max_edges=12))
-def test_edgelist_roundtrip_preserves_structure(g):
-    h = from_edgelist(to_edgelist(g))
-    assert h.number_of_nodes() == g.number_of_nodes()
-    assert h.number_of_edges() == g.number_of_edges()
-    ours = sorted((str(e.src), str(e.dst)) for e in g.edges)
-    theirs = sorted((str(e.src), str(e.dst)) for e in h.edges)
-    assert ours == theirs
+from repro.graphs import Digraph, to_dot
 
 
 def test_dot_output_marks_backedges_dashed():

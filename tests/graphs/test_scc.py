@@ -1,12 +1,10 @@
-"""Tests for Tarjan SCC and condensation, cross-checked against networkx."""
+"""Tests for Tarjan SCC, cross-checked against networkx."""
 
 import networkx as nx
 from hypothesis import given
 
 from repro.graphs import (
     Digraph,
-    condensation,
-    is_acyclic,
     is_strongly_connected,
     scc_of,
     strongly_connected_components,
@@ -63,35 +61,6 @@ def test_sccs_in_reverse_topological_order():
     assert set(comps[1]) == {"a", "b"}
 
 
-def test_condensation_is_dag_with_members():
-    g = Digraph()
-    g.add_edge("a", "b")
-    g.add_edge("b", "a")
-    g.add_edge("b", "c")
-    g.add_edge("c", "d")
-    g.add_edge("d", "c")
-    dag, mapping = condensation(g)
-    assert is_acyclic(dag)
-    assert dag.number_of_nodes() == 2
-    assert dag.number_of_edges() == 1
-    assert mapping["a"] == mapping["b"]
-    assert mapping["c"] == mapping["d"]
-    members = {
-        frozenset(dag.node_data(n)["members"]) for n in dag.nodes
-    }
-    assert members == {frozenset({"a", "b"}), frozenset({"c", "d"})}
-
-
-def test_condensation_preserves_parallel_inter_scc_edges():
-    g = Digraph()
-    g.add_edge("a", "b")
-    g.add_edge("a", "b")  # two parallel channels
-    dag, mapping = condensation(g)
-    assert dag.number_of_edges() == 2
-    origins = {e.data["origin"] for e in dag.edges}
-    assert len(origins) == 2
-
-
 @given(digraphs())
 def test_scc_partition_matches_networkx(g):
     ours = {frozenset(c) for c in strongly_connected_components(g)}
@@ -108,9 +77,3 @@ def test_scc_of_consistent_with_components(g):
     for idx, comp in enumerate(comps):
         for node in comp:
             assert mapping[node] == idx
-
-
-@given(digraphs())
-def test_condensation_always_acyclic(g):
-    dag, _ = condensation(g)
-    assert is_acyclic(dag)

@@ -1,20 +1,10 @@
-"""Tests for traversal primitives, cross-checked against networkx."""
+"""Tests for topological order, cross-checked against networkx."""
 
 import networkx as nx
 import pytest
 from hypothesis import given
 
-from repro.graphs import (
-    Digraph,
-    GraphError,
-    bfs_order,
-    co_reachable_to,
-    dfs_preorder,
-    has_path,
-    is_acyclic,
-    reachable_from,
-    topological_sort,
-)
+from repro.graphs import Digraph, GraphError, is_acyclic, topological_sort
 from tests.strategies import digraphs
 
 
@@ -23,56 +13,6 @@ def to_nx(g: Digraph) -> nx.MultiDiGraph:
     h.add_nodes_from(g.nodes)
     h.add_edges_from((e.src, e.dst) for e in g.edges)
     return h
-
-
-def chain(n):
-    g = Digraph()
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
-
-
-def test_dfs_preorder_chain():
-    assert list(dfs_preorder(chain(4), 0)) == [0, 1, 2, 3]
-
-
-def test_dfs_preorder_explores_first_successor_first():
-    g = Digraph()
-    g.add_edge("r", "a")
-    g.add_edge("r", "b")
-    g.add_edge("a", "c")
-    assert list(dfs_preorder(g, "r")) == ["r", "a", "c", "b"]
-
-
-def test_dfs_missing_start_raises():
-    with pytest.raises(GraphError):
-        list(dfs_preorder(Digraph(), "x"))
-
-
-def test_bfs_order_levels():
-    g = Digraph()
-    g.add_edge("r", "a")
-    g.add_edge("r", "b")
-    g.add_edge("a", "c")
-    g.add_edge("b", "c")
-    order = list(bfs_order(g, "r"))
-    assert order[0] == "r"
-    assert set(order[1:3]) == {"a", "b"}
-    assert order[3] == "c"
-
-
-def test_reachable_and_coreachable():
-    g = chain(4)
-    assert reachable_from(g, 1) == {1, 2, 3}
-    assert co_reachable_to(g, 1) == {0, 1}
-
-
-def test_has_path():
-    g = chain(3)
-    assert has_path(g, 0, 2)
-    assert not has_path(g, 2, 0)
-    assert has_path(g, 1, 1)  # trivially
-    assert not has_path(g, 0, "missing")
 
 
 def test_topological_sort_respects_edges():
@@ -104,12 +44,3 @@ def test_is_acyclic_counts_self_loop_as_cycle():
 @given(digraphs())
 def test_is_acyclic_matches_networkx(g):
     assert is_acyclic(g) == nx.is_directed_acyclic_graph(to_nx(g))
-
-
-@given(digraphs())
-def test_reachability_matches_networkx(g):
-    h = to_nx(g)
-    for start in g.nodes:
-        expected = set(nx.descendants(h, start)) | {start}
-        assert reachable_from(g, start) == expected
-        break  # one start per example keeps the test fast

@@ -1,6 +1,6 @@
-"""The simulation-backend registry: lookup, capability flags, fallback
-resolution, the removed ``simulator=`` keyword, and probe-shell
-selection."""
+"""The measurement backends: the fixed name table, where ``schedule``
+applies and its fallback, the removed ``simulator=`` keyword, and
+probe-shell selection."""
 
 from fractions import Fraction
 
@@ -13,14 +13,13 @@ from repro.faults import build_schedule, random_stalls
 from repro.gen import fig15_lis, named_system
 from repro.lis import (
     BACKENDS,
+    SIMULATORS,
     RtlSimulator,
     TraceSimulator,
-    available_backends,
     crossvalidate,
-    get_backend,
     measured_throughput,
-    register_backend,
     resolve_backend,
+    schedule_applies,
     select_probe_shell,
 )
 from repro.lis.backends import simulator_class
@@ -40,140 +39,62 @@ def disconnected_lis():
 
 
 # ----------------------------------------------------------------------
-# Registry semantics
+# The backend table
 # ----------------------------------------------------------------------
 
 
-def test_builtin_backends_registered_in_order():
-    assert available_backends() == ("trace", "rtl", "fast", "schedule")
-    assert tuple(BACKENDS) == available_backends()
+def test_backend_table_values_and_order():
+    assert SIMULATORS == ("trace", "rtl", "fast")
+    assert BACKENDS == ("trace", "rtl", "fast", "schedule")
 
 
-def test_capability_flags():
-    for name in ("trace", "rtl", "fast"):
-        backend = get_backend(name)
-        assert backend.supports_faults
-        assert not backend.exact
-        assert not backend.requires_scc
-        assert backend.fallback is None
-    schedule = get_backend("schedule")
-    assert schedule.exact
-    assert schedule.requires_scc
-    assert not schedule.supports_faults
-    assert schedule.fallback == "fast"
-
-
-def test_get_backend_unknown_name():
+def test_unknown_backend_name_is_refused():
     with pytest.raises(ValueError, match="unknown backend 'verilog'"):
-        get_backend("verilog")
-
-
-def test_register_duplicate_rejected_without_overwrite():
-    with pytest.raises(ValueError, match="already registered"):
-        register_backend("trace", lambda *a, **k: Fraction(1))
-
-
-def test_register_unknown_fallback_rejected():
-    with pytest.raises(ValueError, match="fallback backend 'nope'"):
-        register_backend(
-            "temp-bad", lambda *a, **k: Fraction(1), fallback="nope"
-        )
-    assert "temp-bad" not in BACKENDS
-
-
-def test_registered_backend_is_crossvalidated():
-    """A new registration is immediately picked up everywhere a backend
-    name is accepted -- including crossvalidate's registry sweep."""
-    calls = []
-
-    def constant(lis, shell, *, clocks, warmup, extra_tokens, faults):
-        calls.append(shell)
-        return Fraction(3, 4)  # fig15's actual MST
-
-    backend = register_backend(
-        "temp-const", constant, description="test double"
-    )
-    try:
-        assert backend is get_backend("temp-const")
-        assert "temp-const" in available_backends()
-        lis = fig15_lis()
-        rate = measured_throughput(lis, "A", backend="temp-const")
-        assert rate == Fraction(3, 4)
-        report = crossvalidate(lis, clocks=200, warmup=60)
-        assert report["temp-const"] == Fraction(3, 4)
-        assert report["agreed"]
-        assert calls
-    finally:
-        del BACKENDS["temp-const"]
-
-
-def test_register_overwrite():
-    register_backend("temp-ow", lambda *a, **k: Fraction(1))
-    try:
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("temp-ow", lambda *a, **k: Fraction(0))
-        replaced = register_backend(
-            "temp-ow", lambda *a, **k: Fraction(0), overwrite=True
-        )
-        assert get_backend("temp-ow") is replaced
-    finally:
-        del BACKENDS["temp-ow"]
-
-
-# ----------------------------------------------------------------------
-# Capability checks and fallback resolution
-# ----------------------------------------------------------------------
+        resolve_backend("verilog", fig15_lis())
+    with pytest.raises(
+        ValueError, match=r"available: trace, rtl, fast, schedule"
+    ):
+        measured_throughput(fig15_lis(), "A", backend="verilog")
 
 
 def test_schedule_supports_connected_not_disconnected():
-    schedule = get_backend("schedule")
-    assert schedule.supports(fig15_lis())
-    assert not schedule.supports(disconnected_lis())
-    assert get_backend("fast").supports(disconnected_lis())
+    lis = fig15_lis()
+    gate = build_schedule(lis, random_stalls(seed=3, horizon=16))
+    assert schedule_applies(lis)
+    assert not schedule_applies(disconnected_lis())
+    assert not schedule_applies(lis, faults=gate)
 
 
 def test_resolve_backend_identity_when_supported():
-    assert resolve_backend("schedule", fig15_lis()).name == "schedule"
-    assert resolve_backend("trace", disconnected_lis()).name == "trace"
+    assert resolve_backend("schedule", fig15_lis()) == "schedule"
+    assert resolve_backend("trace", disconnected_lis()) == "trace"
 
 
 def test_resolve_backend_falls_back_on_disconnected_system():
-    assert resolve_backend("schedule", disconnected_lis()).name == "fast"
+    assert resolve_backend("schedule", disconnected_lis()) == "fast"
 
 
 def test_resolve_backend_falls_back_under_faults():
     lis = fig15_lis()
     faults = build_schedule(lis, random_stalls(seed=3, horizon=16))
-    assert resolve_backend("schedule", lis, faults=faults).name == "fast"
-    assert resolve_backend("fast", lis, faults=faults).name == "fast"
+    assert resolve_backend("schedule", lis, faults=faults) == "fast"
+    assert resolve_backend("fast", lis, faults=faults) == "fast"
 
 
-def test_resolve_backend_accepts_backend_instance():
-    chosen = resolve_backend(get_backend("schedule"), fig15_lis())
-    assert chosen.name == "schedule"
-
-
-def test_resolve_backend_without_fallback_raises():
-    register_backend(
-        "temp-scc", lambda *a, **k: Fraction(1), requires_scc=True
-    )
-    try:
-        with pytest.raises(ValueError, match="no fallback"):
-            resolve_backend("temp-scc", disconnected_lis())
-    finally:
-        del BACKENDS["temp-scc"]
-
-
-def test_measure_rejects_faults_on_analytic_backend():
+def test_schedule_under_a_gate_measures_like_fast():
     lis = fig15_lis()
-    faults = build_schedule(lis, random_stalls(seed=3, horizon=16))
-    with pytest.raises(ValueError, match="does not support fault"):
-        get_backend("schedule").measure(lis, "A", faults=faults)
+    gate = build_schedule(lis, random_stalls(seed=3, horizon=300)).gate(0)
+    window = {"clocks": 200, "warmup": 50}
+    rate = measured_throughput(
+        lis, "A", backend="schedule", faults=gate, **window
+    )
+    assert rate == measured_throughput(
+        lis, "A", backend="fast", faults=gate, **window
+    )
 
 
-def test_faults_backend_tuple_derived_from_registry():
-    assert FAULT_BACKENDS == ("trace", "rtl", "fast")
-    assert all(BACKENDS[name].supports_faults for name in FAULT_BACKENDS)
+def test_fault_backends_are_the_simulators():
+    assert FAULT_BACKENDS == SIMULATORS
 
 
 # ----------------------------------------------------------------------

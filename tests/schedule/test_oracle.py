@@ -11,7 +11,7 @@ from repro.analysis import get_context
 from repro.core import actual_mst, size_queues
 from repro.core.scheduling import ScheduleError
 from repro.gen import fig1_lis, fig15_lis, ring_lis, uplink_downlink_lis
-from repro.lis import TraceSimulator, get_backend, measured_throughput
+from repro.lis import TraceSimulator, measured_throughput, schedule_applies
 from repro.schedule import (
     derive_schedule,
     derive_schedule_reference,
@@ -171,7 +171,7 @@ def test_random_systems_schedule_rate_is_exact_mst(system):
     equals the analytic MST as an exact Fraction, and the simulation
     backends land within the finite-horizon tolerance."""
     lis, _ = system
-    assume(get_backend("schedule").supports(lis))
+    assume(schedule_applies(lis))
     from repro.lis import crossvalidate
 
     oracle = get_context(lis).schedule_oracle()
@@ -188,7 +188,7 @@ def test_random_systems_peak_occupancy_exact(system):
     occupancy with the simulator's, once the horizon covers one full
     transient + hyperperiod."""
     lis, _ = system
-    assume(get_backend("schedule").supports(lis))
+    assume(schedule_applies(lis))
     oracle = get_context(lis).schedule_oracle()
     sim = TraceSimulator(lis)
     sim.run(oracle.transient + oracle.hyperperiod)
@@ -213,7 +213,7 @@ def test_random_systems_words_have_balanced_normal_form(system):
     (``1100`` shows up on tiny rings), so balancedness is only asserted
     when it holds, via the offset round-trip."""
     lis, _ = system
-    assume(get_backend("schedule").supports(lis))
+    assume(schedule_applies(lis))
     oracle = get_context(lis).schedule_oracle()
     for node in oracle.node_names:
         word = oracle.firing_word(node)

@@ -48,6 +48,20 @@ class TestParseJob:
         assert excinfo.value.code == INVALID_PARAMS
         assert "bogus" in excinfo.value.message
 
+    @pytest.mark.parametrize(
+        "options", [{"verify": False}, {"collapse": "never"}]
+    )
+    def test_size_queues_refuses_the_removed_knobs(self, options):
+        """A peer can neither skip the sizing check nor force full
+        cycle enumeration on a collapsible system."""
+        with pytest.raises(RpcError) as excinfo:
+            parse_job("size_queues", {"system": "fig15", "options": options})
+        assert excinfo.value.code == INVALID_PARAMS
+        (key,) = options
+        assert f"unknown option(s) for 'size_queues': {key} " in (
+            excinfo.value.message
+        )
+
     def test_required_option_enforced(self):
         # 'tail' requires stochastic specs to be meaningful.
         with pytest.raises(RpcError) as excinfo:

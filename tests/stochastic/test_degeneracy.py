@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from repro.analysis import get_context
 from repro.core import LisGraph
 from repro.gen import fig15_lis
-from repro.lis import RtlSimulator, TraceSimulator, get_backend
+from repro.lis import RtlSimulator, TraceSimulator, schedule_applies
 from repro.sim import FastSimulator
 from repro.stochastic import (
     bernoulli_stalls,
@@ -91,7 +91,7 @@ def test_zero_stalls_reproduce_schedule_oracle(lis):
     peak occupancy must equal the analytic oracle exactly.  The peak
     is only reached once the horizon covers the oracle's transient
     and one hyperperiod, so the run lasts at least that long."""
-    assume(get_backend("schedule").supports(lis))
+    assume(schedule_applies(lis))
     ctx = get_context(lis)
     spec = bernoulli_stalls(rate=0.0, scope="global")
     oracle = ctx.schedule_oracle()

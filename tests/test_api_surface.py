@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.graphs import Digraph, GraphError, induced_order
 from repro.lis import ShellBehavior
 from repro.soc import run_exhaustive_insertion
-
-
-def test_induced_order():
-    g = Digraph()
-    g.add_edge("a", "b")
-    g.add_edge("b", "c")
-    g.add_edge("c", "a")  # cycle overall...
-    order = induced_order(g, ["a", "b"])  # ...but not in the subgraph
-    assert order == ["a", "b"]
-    with pytest.raises(GraphError):
-        induced_order(g, ["a", "b", "c"])
 
 
 def test_outputs_for_mapping_and_broadcast():

@@ -14,6 +14,7 @@ from repro.core import (
     LisGraph,
     MarkingError,
     actual_mst,
+    is_collapsible,
     size_queues,
 )
 from repro.gen import fig15_lis, generate_lis, GeneratorConfig
@@ -31,13 +32,15 @@ def dense_reconvergent_system(n=8):
 
 def test_size_queues_respects_cycle_budget():
     lis = dense_reconvergent_system()
+    assert not is_collapsible(lis)  # the full doubled graph is enumerated
     with pytest.raises(CycleExplosionError):
-        size_queues(lis, max_cycles=5, collapse="never")
+        size_queues(lis, max_cycles=5)
 
 
 def test_size_queues_without_budget_completes():
     lis = dense_reconvergent_system(4)
-    solution = size_queues(lis, collapse="never")
+    assert not is_collapsible(lis)
+    solution = size_queues(lis)
     assert solution.restores_target
 
 
